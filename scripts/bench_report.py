@@ -32,8 +32,9 @@ Forward/sweep timings go to ``BENCH_pr3.json``, gradient timings to
 guided-search timings to ``BENCH_pr8.json`` (repo root by default).  ``--check-fused`` skips the
 timing and only runs the smoke guards: the profile's default spiking
 model must take the fused plan path end to end (full synapse-plan
-coverage, forward *and* backward counters advancing) — the CI job runs
-this to catch silent fallback regressions.
+coverage, forward *and* backward counters advancing, and one
+default-config ``Trainer`` epoch training on the fused BPTT path) — the
+CI job runs this to catch silent fallback regressions.
 
 ``--check-regression`` measures fresh and compares the *speedup ratios*
 against the committed baseline reports: the planned-fused forward, the
@@ -77,7 +78,7 @@ from repro.models import build_model  # noqa: E402
 from repro.robustness.config import ExplorationConfig  # noqa: E402
 from repro.snn.neuron import LIFParameters  # noqa: E402
 from repro.tensor.tensor import Tensor, no_grad  # noqa: E402
-from repro.training.trainer import TrainingConfig  # noqa: E402
+from repro.training.trainer import Trainer, TrainingConfig  # noqa: E402
 
 EPSILONS = (0.0, 0.1, 0.25, 0.5, 1.0)
 PGD_STEPS = 10
@@ -133,6 +134,14 @@ def check_fused(profile) -> list[str]:
             errors.append(
                 f"{profile.snn_model}: input_gradient did not take the fused "
                 f"BPTT path (fused_backward_count={model.fused_backward_count})"
+            )
+        # One default-config training epoch: the 4 samples are one batch.
+        trained = _build(profile)
+        Trainer(trained, TrainingConfig(epochs=1)).fit(ArrayDataset(x.data, labels))
+        if trained.fused_backward_count != 1:
+            errors.append(
+                f"{profile.snn_model}: a default Trainer epoch did not take the "
+                f"fused BPTT path (fused_backward_count={trained.fused_backward_count})"
             )
     return errors
 

@@ -25,11 +25,11 @@ def input_gradient(model: Module, images: np.ndarray, labels: np.ndarray) -> np.
     mode would redraw its mask between PGD iterations and randomize the
     attack direction.
 
-    Models exposing the fused BPTT contract (``fused_input_gradient`` +
-    ``backward_ready``, i.e. :class:`~repro.snn.network.SpikingNetwork`)
-    take the graph-free reverse-time path, which produces bitwise the
-    gradients of the autograd graph at a fraction of the cost; everything
-    else differentiates the unrolled graph.
+    Models whose ``fused_backward_enabled()`` holds (i.e. a
+    :class:`~repro.snn.network.SpikingNetwork` honouring the fused BPTT
+    contract) take the graph-free reverse-time path, which produces
+    bitwise the gradients of the autograd graph at a fraction of the
+    cost; everything else differentiates the unrolled graph.
 
     Returns zeros when the loss does not depend on the input at all.
     This is a real phenomenon in SNNs, not an error: each state-coupled
@@ -47,13 +47,9 @@ def input_gradient(model: Module, images: np.ndarray, labels: np.ndarray) -> np.
     if force_eval:
         model.eval()
     try:
-        fused = getattr(model, "fused_input_gradient", None)
-        if (
-            fused is not None
-            and getattr(model, "use_fused_backward", False)
-            and model.backward_ready()
-        ):
-            return fused(images, labels)
+        enabled = getattr(model, "fused_backward_enabled", None)
+        if enabled is not None and enabled():
+            return model.fused_input_gradient(images, labels)
         x = Tensor(images.copy(), requires_grad=True)
         logits = model(x)
         loss = F.cross_entropy(logits, labels)

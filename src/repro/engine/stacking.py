@@ -25,11 +25,11 @@ for operation* per lane:
 * evaluation replays ``Trainer.evaluate``'s chunking and argmax;
 * the security sweep replays
   :func:`repro.attacks.metrics.evaluate_attack_sweep`'s batch loop in the
-  same order — clean predictions first (kept even though their values are
-  unused, so stochastic encoders consume their rng streams identically),
-  then every ε crafted, then every ε predicted — with PGD's per-step
-  arithmetic running fold-wide and its random starts drawn per lane from
-  that lane's own seeded attack.
+  same order — clean predictions first (their values are unused, so the
+  pass runs only for stochastic encoders, to consume their rng streams
+  identically), then every ε crafted, then every ε predicted — with PGD's
+  per-step arithmetic running fold-wide and its random starts drawn per
+  lane from that lane's own seeded attack.
 
 Cells the stack cannot serve fall back to the unstacked job function:
 weight-cache hits (their training is a cache read, not a fused pass),
@@ -282,10 +282,10 @@ def _stacked_attack_sweep(
     order: clean predictions, the shared clean gradient (when any budget
     reuses it), *all* budgets crafted, then all budgets predicted.  The
     clean forward's values are unused here (cell results only need the
-    adversarial accuracies) but the pass still runs so lanes with
-    stochastic encoders consume their rng streams exactly as the
-    unstacked sweep would.  Perturbation norms are skipped — pure
-    rng-free numpy the cell result never reads.
+    adversarial accuracies), so the pass runs only when the encoders are
+    stochastic, to consume their rng streams exactly as the unstacked
+    sweep would.  Perturbation norms are skipped — pure rng-free numpy
+    the cell result never reads.
     """
     for member in stack.members:
         member.eval()
@@ -301,7 +301,8 @@ def _stacked_attack_sweep(
         y = all_labels[start : start + batch_size]
         folded = stack.fold([x] * stack.k)
         labels = [y] * stack.k
-        stack.forward_logits(folded)  # clean predictions (rng-stream parity)
+        if stack.encoder.stochastic:
+            stack.forward_logits(folded)  # clean predictions (rng-stream parity)
         gradient = (
             stack.fused_input_gradient(folded, labels) if need_gradient else None
         )

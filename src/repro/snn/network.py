@@ -147,9 +147,10 @@ class SpikingNetwork(Module):
         """Number of forwards served by :meth:`_forward_inference` — the
         observability hook the fused-path smoke guards assert on."""
         self.use_fused_backward = True
-        """Route :func:`repro.attacks.base.input_gradient` through the
+        """Route :func:`repro.attacks.base.input_gradient` and
+        :class:`~repro.training.trainer.Trainer` epochs through the
         graph-free BPTT path when :meth:`backward_ready` holds (disable to
-        benchmark the autograd baseline; gradients are identical)."""
+        run the autograd oracle; gradients are identical)."""
         self.fused_backward_count = 0
         """Number of backward passes served by the fused BPTT path — the
         observability hook of the gradient-path smoke guards."""
@@ -356,6 +357,12 @@ class SpikingNetwork(Module):
             _has_numpy_twin(self.encoder, "step", "step_backward_numpy")
         )
 
+    def fused_backward_enabled(self) -> bool:
+        """Whether backwards take the graph-free BPTT path: the single
+        predicate :func:`~repro.attacks.base.input_gradient` and
+        :class:`~repro.training.trainer.Trainer` both consult."""
+        return self.use_fused_backward and self.backward_ready()
+
     def _decode_head(self, trace: list[np.ndarray], labels: np.ndarray):
         """Decode + loss as a (tiny) autograd graph over the recorded trace.
 
@@ -387,7 +394,7 @@ class SpikingNetwork(Module):
         are *not* accumulated (attack crafting discards them), which
         additionally skips every weight-gradient GEMM.
 
-        Callers should check :meth:`backward_ready` first;
+        Callers should check :meth:`fused_backward_enabled` first;
         :func:`repro.attacks.base.input_gradient` does and falls back to
         the autograd path otherwise.
         """
@@ -409,7 +416,8 @@ class SpikingNetwork(Module):
         to ``loss.backward()`` on the unrolled graph) and returns
         ``(loss_value, logits)`` for bookkeeping.  The input-pixel
         gradient is skipped — optimizer updates never need it.  Used by
-        :class:`repro.training.trainer.Trainer` when its config opts in.
+        :class:`repro.training.trainer.Trainer` whenever
+        :meth:`fused_backward_enabled` holds.
         """
         images = np.asarray(images)
         tape = bptt.record_forward(self, images)

@@ -471,6 +471,7 @@ class _StackedConstantCurrentEncoder:
     """K constant-current LIF encoders with per-variant injection scale."""
 
     stateful = True
+    stochastic = False
 
     def __init__(self, encoders: Sequence[ConstantCurrentLIFEncoder]) -> None:
         self.cell = StackedLIFCell([encoder.cell for encoder in encoders])
@@ -499,6 +500,7 @@ class _StackedPoissonEncoder:
     """
 
     stateful = False
+    stochastic = True
 
     def __init__(self, encoders: Sequence[PoissonEncoder]) -> None:
         self.encoders = list(encoders)

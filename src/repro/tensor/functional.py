@@ -374,6 +374,13 @@ class Conv2dPlan:
     ``__call__(x, weight, bias)`` computes the same cross-correlation as
     :func:`conv2d`'s forward, skipping Tensor construction, the backward
     closure, and the per-call ``np.pad``/column allocations.
+
+    Data movement runs in NHWC: the input is transposed once into a
+    zero-bordered staging buffer whose ``(kh, kw)`` windows already have
+    the column layout ``(N, OH, OW, C, kh, kw)``, and the col2im scatter
+    accumulates into an NHWC scratch that is transposed back once.  Both
+    are pure copies or the closure's own ordered adds, so results stay
+    bitwise identical to :func:`conv2d`.
     """
 
     def __init__(
@@ -393,43 +400,73 @@ class Conv2dPlan:
         self.shape = shape
         self.dtype = dtype
         n, c_in, h, w = shape
-        _c_out, _, kh, kw = weight_shape
+        self.c_out, _, kh, kw = weight_shape
         self.sh, self.sw = _pair(stride)
         self.ph, self.pw = _pair(padding)
         self.kh, self.kw = kh, kw
         self.oh = _conv_output_size(h, kh, self.sh, self.ph)
         self.ow = _conv_output_size(w, kw, self.sw, self.pw)
-        if self.ph or self.pw:
-            self._padded = np.zeros(
-                (n, c_in, h + 2 * self.ph, w + 2 * self.pw), dtype=dtype
-            )
-        else:
-            self._padded = None
+        # NHWC input staging; only the interior is ever written, so the
+        # padding border stays zero.
+        self._staging = np.zeros(
+            (n, h + 2 * self.ph, w + 2 * self.pw, c_in), dtype=dtype
+        )
+        self._windows = sliding_window_view(
+            self._staging, (kh, kw), axis=(1, 2)
+        )[:, :: self.sh, :: self.sw]  # (N, OH, OW, C, kh, kw)
         # Column scratch: written as (N, OH, OW, C, kh, kw), fed to the
         # matmul as its flat (N*OH*OW, C*kh*kw) alias.
         self._cols6d = np.empty(
             (n, self.oh, self.ow, c_in, kh, kw), dtype=dtype
         )
         self._cols = self._cols6d.reshape(n * self.oh * self.ow, c_in * kh * kw)
-        self._grad_padded: np.ndarray | None = None
+        self._grad_staging: np.ndarray | None = None
+        self._stacked_out: np.ndarray | None = None
+
+    def _fill_cols(self, x: np.ndarray) -> None:
+        """im2col: copy the ``(kh, kw)`` windows of ``x`` into the columns."""
+        h, w = self.shape[2:]
+        self._staging[:, self.ph : self.ph + h, self.pw : self.pw + w] = x.transpose(
+            0, 2, 3, 1
+        )
+        for i in range(self.kh):
+            for j in range(self.kw):
+                self._cols6d[..., i, j] = self._windows[..., i, j]
+
+    def _col2im(self, grad_cols: np.ndarray) -> np.ndarray:
+        """col2im: sum ``(N*OH*OW, C*kh*kw)`` grad columns onto the input.
+
+        Adds the per-tap slabs in the Tensor closure's (i, j) order into a
+        zeroed scratch of the *input* dtype (like its ``zeros_like(padded)``,
+        so each contribution downcasts exactly as there), then crops the
+        padding.  The returned NCHW array is freshly allocated.
+        """
+        n, c_in, h, w = self.shape
+        grad_windows = grad_cols.reshape(n, self.oh, self.ow, c_in, self.kh, self.kw)
+        scratch = self._grad_staging
+        if scratch is None:
+            scratch = self._grad_staging = np.zeros_like(self._staging)
+        else:
+            scratch.fill(0.0)
+        for i in range(self.kh):
+            for j in range(self.kw):
+                scratch[
+                    :, i : i + self.oh * self.sh : self.sh,
+                    j : j + self.ow * self.sw : self.sw,
+                ] += grad_windows[..., i, j]
+        cropped = scratch[:, self.ph : self.ph + h, self.pw : self.pw + w]
+        return cropped.transpose(0, 3, 1, 2).copy()
 
     def __call__(
         self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
     ) -> np.ndarray:
-        n, _c_in, h, w = self.shape
-        if self._padded is None:
-            padded = x
-        else:
-            self._padded[:, :, self.ph : self.ph + h, self.pw : self.pw + w] = x
-            padded = self._padded
-        windows = _strided_windows(padded, self.kh, self.kw, self.sh, self.sw)
-        self._cols6d[...] = windows.transpose(0, 2, 3, 1, 4, 5)
+        self._fill_cols(x)
         w_mat = weight.reshape(weight.shape[0], -1)
         out = self._cols @ w_mat.T
         if bias is not None:
             out = out + bias
         return np.ascontiguousarray(
-            out.reshape(n, self.oh, self.ow, -1).transpose(0, 3, 1, 2)
+            out.reshape(self.shape[0], self.oh, self.ow, -1).transpose(0, 3, 1, 2)
         )
 
     def _grad_as_matrix(self, g: np.ndarray) -> np.ndarray:
@@ -443,35 +480,12 @@ class Conv2dPlan:
 
         Performs the exact arithmetic of the Tensor op's backward closure
         (grad-column matmul, per-offset strided accumulation, padding
-        crop), reusing a zeroed padded scratch instead of allocating one
-        per call.  The returned array is freshly allocated (safe to
-        retain across reverse time steps).
+        crop), reusing a zeroed scratch instead of allocating one per
+        call.  The returned array is freshly allocated (safe to retain
+        across reverse time steps).
         """
-        n, c_in, h, w = self.shape
-        g_mat = self._grad_as_matrix(g)
         w_mat = weight.reshape(weight.shape[0], -1)
-        grad_cols = g_mat @ w_mat  # (N*OH*OW, C*kh*kw)
-        grad_windows = grad_cols.reshape(
-            n, self.oh, self.ow, c_in, self.kh, self.kw
-        ).transpose(0, 3, 1, 2, 4, 5)
-        # Anchored to the *input* dtype, like the closure's zeros_like(padded):
-        # the strided += then downcasts each contribution exactly as the
-        # Tensor path does.
-        scratch = self._grad_padded
-        if scratch is None:
-            scratch = np.zeros(
-                (n, c_in, h + 2 * self.ph, w + 2 * self.pw), dtype=self.dtype
-            )
-            self._grad_padded = scratch
-        else:
-            scratch.fill(0.0)
-        for i in range(self.kh):
-            for j in range(self.kw):
-                scratch[
-                    :, :, i : i + self.oh * self.sh : self.sh,
-                    j : j + self.ow * self.sw : self.sw,
-                ] += grad_windows[:, :, :, :, i, j]
-        return scratch[:, :, self.ph : self.ph + h, self.pw : self.pw + w].copy()
+        return self._col2im(self._grad_as_matrix(g) @ w_mat)
 
     def backward_weight(
         self, g: np.ndarray, x: np.ndarray, weight_shape: tuple[int, ...]
@@ -483,14 +497,7 @@ class Conv2dPlan:
         autograd closure exactly.  Reuses the plan's column scratch — call
         only after the forward pass is complete.
         """
-        n, _c_in, h, w = self.shape
-        if self._padded is None:
-            padded = x
-        else:
-            self._padded[:, :, self.ph : self.ph + h, self.pw : self.pw + w] = x
-            padded = self._padded
-        windows = _strided_windows(padded, self.kh, self.kw, self.sh, self.sw)
-        self._cols6d[...] = windows.transpose(0, 2, 3, 1, 4, 5)
+        self._fill_cols(x)
         g_mat = self._grad_as_matrix(g)
         return (g_mat.T @ self._cols).reshape(weight_shape)
 
@@ -532,31 +539,35 @@ class Conv2dPlan:
         variant's GEMM is skipped and its output rows zero-filled (the
         values are structurally unused, but must stay finite so they
         cannot leak NaNs into the folded elementwise stages).
+
+        Each lane's GEMM writes straight into a reused scratch, and the
+        biases are added after the NCHW transpose: the same float adds
+        as ``lane_out + bias``, but over channel-contiguous rows instead
+        of the narrow ``(rows, C_out)`` GEMM output, where they cost
+        more than the GEMM itself.
         """
-        n, _c_in, h, w = self.shape
+        n = self.shape[0]
         k = len(weights)
         rows = self.lane_rows(k)
-        if self._padded is None:
-            padded = x
-        else:
-            self._padded[:, :, self.ph : self.ph + h, self.pw : self.pw + w] = x
-            padded = self._padded
-        windows = _strided_windows(padded, self.kh, self.kw, self.sh, self.sw)
-        self._cols6d[...] = windows.transpose(0, 2, 3, 1, 4, 5)
-        out = np.empty((n * self.oh * self.ow, weights[0].shape[0]), dtype=self.dtype)
+        self._fill_cols(x)
+        out = self._stacked_out
+        if out is None:
+            out = self._stacked_out = np.empty(
+                (n * self.oh * self.ow, self.c_out), dtype=self.dtype
+            )
         for lane in range(k):
             block = slice(lane * rows, (lane + 1) * rows)
             if alive is not None and not alive[lane]:
                 out[block] = 0.0
                 continue
             w_mat = weights[lane].reshape(weights[lane].shape[0], -1)
-            lane_out = self._cols[block] @ w_mat.T
-            if biases[lane] is not None:
-                lane_out = lane_out + biases[lane]
-            out[block] = lane_out
-        return np.ascontiguousarray(
-            out.reshape(n, self.oh, self.ow, -1).transpose(0, 3, 1, 2)
-        )
+            np.matmul(self._cols[block], w_mat.T, out=out[block])
+        result = out.reshape(n, self.oh, self.ow, -1).transpose(0, 3, 1, 2).copy()
+        lane_n = n // k
+        for lane, bias in enumerate(biases):
+            if bias is not None and (alive is None or alive[lane]):
+                result[lane * lane_n : (lane + 1) * lane_n] += bias[:, None, None]
+        return result
 
     def stacked_backward_input(
         self,
@@ -569,7 +580,7 @@ class Conv2dPlan:
         Per-variant grad-column GEMMs feed one fold-wide col2im scatter
         (the scatter is lane-local data movement, so folding it is exact).
         """
-        n, c_in, h, w = self.shape
+        n, c_in = self.shape[:2]
         k = len(weights)
         rows = self.lane_rows(k)
         g_mat = self._grad_as_matrix(g)
@@ -583,24 +594,7 @@ class Conv2dPlan:
                 continue
             w_mat = weights[lane].reshape(weights[lane].shape[0], -1)
             grad_cols[block] = g_mat[block] @ w_mat
-        grad_windows = grad_cols.reshape(
-            n, self.oh, self.ow, c_in, self.kh, self.kw
-        ).transpose(0, 3, 1, 2, 4, 5)
-        scratch = self._grad_padded
-        if scratch is None:
-            scratch = np.zeros(
-                (n, c_in, h + 2 * self.ph, w + 2 * self.pw), dtype=self.dtype
-            )
-            self._grad_padded = scratch
-        else:
-            scratch.fill(0.0)
-        for i in range(self.kh):
-            for j in range(self.kw):
-                scratch[
-                    :, :, i : i + self.oh * self.sh : self.sh,
-                    j : j + self.ow * self.sw : self.sw,
-                ] += grad_windows[:, :, :, :, i, j]
-        return scratch[:, :, self.ph : self.ph + h, self.pw : self.pw + w].copy()
+        return self._col2im(grad_cols)
 
     def stacked_backward_weights(
         self,
@@ -616,16 +610,9 @@ class Conv2dPlan:
         parameters are structurally dead at this step (``None`` entries
         keep the autograd path's grad-never-touched semantics).
         """
-        n, _c_in, h, w = self.shape
         k = len(wanted)
         rows = self.lane_rows(k)
-        if self._padded is None:
-            padded = x
-        else:
-            self._padded[:, :, self.ph : self.ph + h, self.pw : self.pw + w] = x
-            padded = self._padded
-        windows = _strided_windows(padded, self.kh, self.kw, self.sh, self.sw)
-        self._cols6d[...] = windows.transpose(0, 2, 3, 1, 4, 5)
+        self._fill_cols(x)
         g_mat = self._grad_as_matrix(g)
         grads: list[np.ndarray | None] = []
         for lane in range(k):

@@ -10,16 +10,12 @@ gradient step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.attacks.base import Attack
 from repro.attacks.pgd import PGD
-from repro.data.dataset import ArrayDataset, DataLoader
-from repro.errors import TrainingError
-from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor
 from repro.training.trainer import Trainer, TrainingConfig
 
 __all__ = ["AdversarialTrainer", "AdversarialTrainingConfig"]
@@ -58,6 +54,10 @@ class AdversarialTrainingConfig(TrainingConfig):
 class AdversarialTrainer(Trainer):
     """Trainer whose batches are adversarially perturbed on the fly.
 
+    Only the batch contents differ: each perturbed batch goes through
+    :class:`Trainer`'s own step (fused BPTT where the model offers it,
+    gradient clipping, divergence check).
+
     Examples
     --------
     >>> config = AdversarialTrainingConfig(epochs=3, attack_epsilon=0.1)
@@ -81,27 +81,8 @@ class AdversarialTrainer(Trainer):
         )
         self._mix_rng = np.random.default_rng(config.seed)
 
-    def _run_epoch(self, loader: DataLoader) -> tuple[float, float]:
-        config: AdversarialTrainingConfig = self.config  # narrowed by __init__
-        self.model.train()
-        total_loss = 0.0
-        total_correct = 0
-        total_seen = 0
-        for images, labels in loader:
-            batch = self._adversarialize(images, labels, config)
-            logits = self.model(Tensor(batch))
-            loss = F.cross_entropy(logits, labels)
-            loss_value = float(loss.data)
-            if not np.isfinite(loss_value):
-                raise TrainingError(f"loss diverged to {loss_value}")
-            self.optimizer.zero_grad()
-            loss.backward()
-            self.optimizer.step()
-            count = len(labels)
-            total_loss += loss_value * count
-            total_correct += int((logits.data.argmax(axis=1) == labels).sum())
-            total_seen += count
-        return total_loss / total_seen, total_correct / total_seen
+    def _prepare_batch(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        return self._adversarialize(images, labels, self.config)
 
     def _adversarialize(
         self,

@@ -53,14 +53,6 @@ class TrainingConfig:
     max_grad_norm: float | None = None
     """Optional global gradient-norm clip."""
 
-    fused_backward: bool = False
-    """Opt-in: run training backwards through the model's graph-free BPTT
-    path (``fused_loss_backward``) when it offers one and its
-    ``backward_ready`` contract holds.  Parameter gradients — and thus the
-    trained weights — are identical to the autograd path; the unrolled
-    graph is simply never built.  Off by default so checkpoint
-    fingerprints and historical training traces stay byte-stable."""
-
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range fields."""
         if self.epochs < 1:
@@ -89,6 +81,13 @@ class TrainingHistory:
 
 class Trainer:
     """Train a classifier on an :class:`ArrayDataset` with Adam.
+
+    Models that offer the graph-free BPTT path and enable it
+    (:meth:`~repro.snn.network.SpikingNetwork.fused_backward_enabled`)
+    train through ``fused_loss_backward``: parameter gradients, and thus
+    the trained weights, are bitwise those of ``loss.backward()`` on the
+    unrolled graph, which is simply never built.  Every other model
+    trains through the autograd engine.
 
     Examples
     --------
@@ -163,22 +162,15 @@ class Trainer:
                 )
         return self.history
 
-    def _use_fused_backward(self) -> bool:
-        """Whether epochs may ride the model's graph-free BPTT path."""
-        return (
-            self.config.fused_backward
-            and hasattr(self.model, "fused_loss_backward")
-            and getattr(self.model, "use_fused_backward", False)
-            and self.model.backward_ready()
-        )
-
     def _run_epoch(self, loader: DataLoader) -> tuple[float, float]:
         self.model.train()
-        fused = self._use_fused_backward()
+        enabled = getattr(self.model, "fused_backward_enabled", None)
+        fused = enabled is not None and enabled()
         total_loss = 0.0
         total_correct = 0
         total_seen = 0
         for images, labels in loader:
+            images = self._prepare_batch(images, labels)
             if fused:
                 self.optimizer.zero_grad()
                 loss_value, logits_data = self.model.fused_loss_backward(images, labels)
@@ -201,6 +193,10 @@ class Trainer:
             total_correct += int((logits_data.argmax(axis=1) == labels).sum())
             total_seen += batch
         return total_loss / total_seen, total_correct / total_seen
+
+    def _prepare_batch(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The images one optimizer step trains on (subclass hook)."""
+        return images
 
     def _clip_gradients(self, max_norm: float) -> None:
         grads = [p.grad for p in self.optimizer.parameters if p.grad is not None]

@@ -1,14 +1,12 @@
-"""Shared utilities: seeding, logging, serialization, timing, dispatch."""
+"""Shared utilities: seeding, logging, serialization, dispatch."""
 
 from repro.utils.dispatch import has_trusted_twin
 from repro.utils.logging import get_logger
 from repro.utils.seeding import SeedSequence, new_rng, spawn_rngs
 from repro.utils.serialization import load_npz, save_npz
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "SeedSequence",
-    "Stopwatch",
     "get_logger",
     "has_trusted_twin",
     "load_npz",

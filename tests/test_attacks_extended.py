@@ -176,3 +176,56 @@ class TestAdversarialTrainer:
         model.train()
         trainer._adversarialize(train.images[:8], train.labels[:8], config)
         assert model.training
+
+    def test_spiking_model_trains_fused_bitwise_as_autograd(self, tiny_digits):
+        train, _test = tiny_digits
+        config = AdversarialTrainingConfig(
+            epochs=1, batch_size=16, attack_epsilon=0.1, attack_steps=2, seed=4
+        )
+        histories, states, step_calls = [], [], []
+        for fused in (True, False):
+            model = build_model("snn_lenet_mini", input_size=12, time_steps=4, rng=0)
+            model.use_fused_backward = fused
+            calls = []
+            fused_step = model.fused_loss_backward
+
+            def counting_step(images, labels, fused_step=fused_step, calls=calls):
+                calls.append(len(labels))
+                return fused_step(images, labels)
+
+            model.fused_loss_backward = counting_step
+            histories.append(AdversarialTrainer(model, config).fit(train.take(32)))
+            assert (model.fused_backward_count > 0) == fused
+            step_calls.append(calls)
+            states.append(model.state_dict())
+        # Both optimizer steps of the fused run took the graph-free path.
+        assert step_calls == [[16, 16], []]
+        assert histories[0].train_loss == histories[1].train_loss
+        assert histories[0].train_accuracy == histories[1].train_accuracy
+        for name in states[0]:
+            np.testing.assert_array_equal(states[0][name], states[1][name])
+
+    def test_max_grad_norm_clips_gradients(self, tiny_digits):
+        train, _test = tiny_digits
+        norms = {}
+        for max_norm in (None, 1e-3):
+            model = build_model("lenet_mini", input_size=12, rng=0)
+            config = AdversarialTrainingConfig(
+                epochs=1, batch_size=16, attack_steps=1, max_grad_norm=max_norm
+            )
+            trainer = AdversarialTrainer(model, config)
+            seen = norms[max_norm] = []
+            step = trainer.optimizer.step
+
+            def recording_step(step=step, seen=seen, trainer=trainer):
+                grads = [
+                    p.grad for p in trainer.optimizer.parameters if p.grad is not None
+                ]
+                seen.append(float(np.sqrt(sum(float((g * g).sum()) for g in grads))))
+                step()
+
+            trainer.optimizer.step = recording_step
+            trainer.fit(train.take(32))
+        assert len(norms[None]) == len(norms[1e-3]) == 2
+        assert min(norms[None]) > 1e-3
+        assert max(norms[1e-3]) <= 1e-3 * (1 + 1e-5)

@@ -518,24 +518,50 @@ class TestEvalModeRestoration:
 class TestFusedTraining:
     """Trainer epochs on the fused backward must train identically."""
 
-    def test_fused_epochs_match_autograd_epochs(self):
+    @staticmethod
+    def _dataset() -> ArrayDataset:
         data_rng = np.random.default_rng(2)
         images = data_rng.random((24, 1, 16, 16)).astype(np.float32)
         labels = (np.arange(24) % 10).astype(np.int64)
-        dataset = ArrayDataset(images, labels)
+        return ArrayDataset(images, labels)
 
+    def test_fused_epochs_match_autograd_epochs(self):
+        dataset = self._dataset()
         histories = []
         states = []
         for fused in (False, True):
             model = build_model("snn_lenet_mini", input_size=16, time_steps=6, rng=0)
-            config = TrainingConfig(
-                epochs=2, batch_size=8, seed=3, fused_backward=fused
-            )
-            trainer = Trainer(model, config)
-            assert trainer._use_fused_backward() == fused
-            histories.append(trainer.fit(dataset))
+            model.use_fused_backward = fused
+            assert model.fused_backward_enabled() == fused
+            config = TrainingConfig(epochs=2, batch_size=8, seed=3)
+            histories.append(Trainer(model, config).fit(dataset))
+            assert (model.fused_backward_count > 0) == fused
             states.append(model.state_dict())
         assert histories[0].train_loss == histories[1].train_loss
         assert histories[0].train_accuracy == histories[1].train_accuracy
         for name in states[0]:
             np.testing.assert_array_equal(states[0][name], states[1][name])
+
+    def test_default_config_trains_spiking_model_fused(self):
+        model = build_model("snn_lenet_mini", input_size=16, time_steps=4, rng=0)
+        Trainer(model, TrainingConfig(epochs=1, batch_size=8)).fit(self._dataset())
+        # One graph-free training backward per mini-batch.
+        assert model.fused_backward_count == 3
+
+    def test_cnn_trains_through_autograd(self, monkeypatch):
+        calls = []
+        backward = Tensor.backward
+
+        def counting_backward(tensor, *args, **kwargs):
+            calls.append(tensor.shape)
+            return backward(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "backward", counting_backward)
+        model = build_model("lenet_mini", input_size=16, rng=0)
+        assert not hasattr(model, "fused_backward_enabled")
+        before = {name: value.copy() for name, value in model.state_dict().items()}
+        Trainer(model, TrainingConfig(epochs=1, batch_size=8)).fit(self._dataset())
+        # One scalar-loss backward through the autograd graph per mini-batch.
+        assert calls == [()] * 3
+        after = model.state_dict()
+        assert any(not np.array_equal(before[name], after[name]) for name in before)

@@ -30,6 +30,7 @@ from repro.data.dataset import ArrayDataset
 from repro.models import build_model
 from repro.robustness.security import robustness_curve
 from repro.snn.network import _transform_fused_ready
+from repro.tensor.functional import Conv2dPlan, _strided_windows
 from repro.tensor.tensor import Tensor, no_grad
 
 SPIKING_MODELS = ["snn_lenet_mini", "snn_lenet5", "snn_cnn5"]
@@ -116,6 +117,136 @@ class TestModuleTwins:
         # Both dtypes coexist as separate plans.
         np.testing.assert_array_equal(conv.forward_numpy(x32), conv(Tensor(x32)).data)
         assert len(conv._plans) == 2
+
+
+# (stride, padding, kernel, dtype, batch): strided, asymmetric, non-square,
+# float64, N=1, and 5x5 / 5x4 kernels.
+_CONV_GEOMETRIES = [
+    (1, 1, (3, 3), np.float32, 4),
+    (2, 0, (3, 3), np.float32, 3),
+    ((1, 2), (2, 1), (3, 2), np.float32, 2),
+    (2, (2, 1), (2, 3), np.float64, 1),
+    (1, 2, (5, 5), np.float32, 2),
+    ((2, 1), 0, (5, 4), np.float64, 1),
+]
+
+
+def _conv_case(rng, geometry, c_in=3, c_out=4, h=9, w=8):
+    stride, padding, (kh, kw), dtype, n = geometry
+    x = rng.standard_normal((n, c_in, h, w)).astype(dtype)
+    weight = rng.standard_normal((c_out, c_in, kh, kw)).astype(dtype)
+    plan = Conv2dPlan(x.shape, np.dtype(dtype), weight.shape, stride, padding)
+    return plan, x, weight
+
+
+def _reference_cols(plan, x):
+    """conv2d's im2col: strided windows of the padded input, transposed."""
+    padded = np.pad(x, ((0, 0), (0, 0), (plan.ph, plan.ph), (plan.pw, plan.pw)))
+    windows = _strided_windows(padded, plan.kh, plan.kw, plan.sh, plan.sw)
+    return windows.transpose(0, 2, 3, 1, 4, 5)
+
+
+def _reference_col2im(plan, grad_cols):
+    """conv2d's backward-closure scatter into an NCHW padded grid."""
+    n, c_in, h, w = plan.shape
+    grad_windows = grad_cols.reshape(
+        n, plan.oh, plan.ow, c_in, plan.kh, plan.kw
+    ).transpose(0, 3, 1, 2, 4, 5)
+    grad_padded = np.zeros((n, c_in, h + 2 * plan.ph, w + 2 * plan.pw), plan.dtype)
+    for i in range(plan.kh):
+        for j in range(plan.kw):
+            grad_padded[
+                :, :, i : i + plan.oh * plan.sh : plan.sh,
+                j : j + plan.ow * plan.sw : plan.sw,
+            ] += grad_windows[:, :, :, :, i, j]
+    return grad_padded[:, :, plan.ph : plan.ph + h, plan.pw : plan.pw + w]
+
+
+def _assert_same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+class TestConvPlanDataMovement:
+    """Conv2dPlan's NHWC im2col/col2im must move the bytes of conv2d's."""
+
+    @pytest.mark.parametrize("geometry", _CONV_GEOMETRIES)
+    def test_fill_cols_matches_strided_windows(self, rng, geometry):
+        plan, x, _weight = _conv_case(rng, geometry)
+        # Twice, with fresh data: the staging border must stay zero.
+        for batch in (x, rng.standard_normal(x.shape).astype(x.dtype)):
+            plan._fill_cols(batch)
+            _assert_same_bytes(plan._cols6d, _reference_cols(plan, batch))
+
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("geometry", _CONV_GEOMETRIES)
+    def test_col2im_matches_closure_scatter(self, rng, geometry, c_in):
+        # c_in=1 without padding makes the NCHW view of the NHWC scratch
+        # contiguous: the result must still be a copy, not an alias.
+        plan, _x, _weight = _conv_case(rng, geometry, c_in=c_in)
+        n = plan.shape[0]
+        shape = (n * plan.oh * plan.ow, c_in * plan.kh * plan.kw)
+        for grad_dtype in (plan.dtype, np.float64):
+            grad_cols = rng.standard_normal(shape).astype(grad_dtype)
+            grad_cols[::3] = -0.0  # signed zeros must survive the adds
+            out = plan._col2im(grad_cols)
+            _assert_same_bytes(out, _reference_col2im(plan, grad_cols))
+            assert out.flags.c_contiguous
+            assert not np.shares_memory(out, plan._grad_staging)
+
+    @pytest.mark.parametrize("geometry", _CONV_GEOMETRIES[:3])
+    def test_stacked_plan_with_dead_lane_matches_lane_plans(self, rng, geometry):
+        lane_plan, _x, weight = _conv_case(rng, geometry)
+        stride, padding, _kernel, dtype, n = geometry
+        k, alive = 3, [True, False, True]
+        x = rng.standard_normal((k * n,) + lane_plan.shape[1:]).astype(dtype)
+        weights = [
+            rng.standard_normal(weight.shape).astype(dtype) for _ in range(k)
+        ]
+        # The dead lane has a bias: its rows must still read exact zeros.
+        biases = [
+            rng.standard_normal(weight.shape[0]).astype(dtype) for _ in range(2)
+        ] + [None]
+        plan = Conv2dPlan(x.shape, np.dtype(dtype), weight.shape, stride, padding)
+        out = plan.stacked(x, weights, biases, alive)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        grad_x = plan.stacked_backward_input(g, weights, alive)
+        grad_ws = plan.stacked_backward_weights(g, x, weight.shape, alive)
+        assert grad_ws[1] is None
+        for lane in range(k):
+            rows = slice(lane * n, (lane + 1) * n)
+            if not alive[lane]:
+                assert not out[rows].any() and not grad_x[rows].any()
+                continue
+            _assert_same_bytes(
+                out[rows], lane_plan(x[rows], weights[lane], biases[lane])
+            )
+            _assert_same_bytes(
+                grad_x[rows], lane_plan.backward_input(g[rows], weights[lane])
+            )
+            _assert_same_bytes(
+                grad_ws[lane],
+                lane_plan.backward_weight(g[rows], x[rows], weight.shape),
+            )
+
+
+    @pytest.mark.parametrize("c_out", [1, 4])
+    def test_stacked_output_does_not_alias_scratch(self, rng, c_out):
+        # c_out=1 makes the NCHW view of the GEMM scratch contiguous: the
+        # forward must still return a copy, or the next call overwrites it.
+        k, n = 2, 2
+        x = rng.standard_normal((k * n, 3, 6, 5)).astype(np.float32)
+        weights = [
+            rng.standard_normal((c_out, 3, 3, 3)).astype(np.float32)
+            for _ in range(k)
+        ]
+        biases = [rng.standard_normal(c_out).astype(np.float32)] * k
+        plan = Conv2dPlan(x.shape, np.dtype(np.float32), weights[0].shape, 1, 1)
+        out = plan.stacked(x, weights, biases)
+        kept = out.copy()
+        plan.stacked(2 * x, weights, biases)
+        _assert_same_bytes(out, kept)
 
 
 class TestFusedPlanPath:

@@ -11,6 +11,7 @@ scheduling and cache-timing satellites that ride on the same PR.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -387,6 +388,43 @@ class TestStackedEngine:
         }
         assert by_cell[(0.5, 6)] == 1  # the untrusted cell ran unstacked
         assert by_cell[(1.0, 4)] == 3  # the other three still stacked
+
+    @pytest.mark.parametrize("poisson", [False, True])
+    def test_clean_forward_runs_only_for_stochastic_encoders(
+        self, monkeypatch, poisson
+    ):
+        """The sweep's unused clean forward is kept only for rng parity."""
+        factory, train, test, config = _grid_fixture()
+        config = replace(config, accuracy_threshold=0.0)  # every lane attacks
+
+        def build(v_th, time_window, seed):
+            model = factory(v_th, time_window, seed)
+            if poisson:
+                model.encoder = PoissonEncoder(scale=1.5, rng=seed)
+            return model
+
+        tasks = build_cell_tasks(config)
+        base, _stats = run_cell_tasks(
+            ExplorationJobContext(build, train, test, config), tasks
+        )
+        calls = []
+        forward_logits = VariantStack.forward_logits
+
+        def counting_forward(stack, image):
+            calls.append(image.shape[0])
+            return forward_logits(stack, image)
+
+        monkeypatch.setattr(VariantStack, "forward_logits", counting_forward)
+        stacked, _stats = run_stacked_cell_tasks(
+            ExplorationJobContext(build, train, test, config), tasks, stack=2
+        )
+        assert base == stacked
+        eval_chunks = -(-len(test) // config.training.eval_batch_size)
+        attack_batches = -(-len(test) // config.attack_batch_size)
+        forwards_per_batch = len(config.epsilons) + (1 if poisson else 0)
+        groups = len(tasks) // 2
+        per_group = eval_chunks + attack_batches * forwards_per_batch
+        assert len(calls) == groups * per_group
 
     def test_pack_stacks_diverts_weight_cache_hits(self, tmp_path):
         factory, train, test, config = _grid_fixture()

@@ -1,16 +1,14 @@
-"""Utilities: seeding, timing, serialization, logging."""
+"""Utilities: seeding, serialization, logging."""
 
 from __future__ import annotations
 
 import logging
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils import (
     SeedSequence,
-    Stopwatch,
     get_logger,
     load_npz,
     new_rng,
@@ -76,23 +74,6 @@ class TestSeedSequence:
     def test_tuple_key_normalization(self):
         seeds = SeedSequence(0)
         assert seeds.child_seed(("a", 1.5)) == seeds.child_seed(("a", 1.5))
-
-
-class TestStopwatch:
-    def test_context_manager(self):
-        with Stopwatch() as sw:
-            time.sleep(0.01)
-        assert sw.elapsed >= 0.005
-
-    def test_stop_before_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_live_elapsed(self):
-        sw = Stopwatch().start()
-        time.sleep(0.005)
-        assert sw.elapsed > 0
-        sw.stop()
 
 
 class TestNpz:
