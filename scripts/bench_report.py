@@ -16,7 +16,7 @@ Measures, on the default spiking LeNet of an experiment profile:
    attack outcomes asserted).
 
 4. **Stacked grid execution** — the same cell task list through the
-   per-cell scheduler vs ``run_stacked_cell_tasks`` (K-variant
+   per-cell scheduler vs ``run_tasks(..., stack=K)`` (K-variant
    ``VariantStack`` fused passes), asserting every per-cell result
    compares equal, at two scales: a K=5 headline grid and a cheap K=2
    micro leg for CI.
@@ -70,9 +70,13 @@ from repro.attacks.metrics import (  # noqa: E402
 )
 from repro.attacks.pgd import PGD  # noqa: E402
 from repro.data.dataset import ArrayDataset  # noqa: E402
-from repro.engine.job import ExplorationJobContext, build_cell_tasks  # noqa: E402
-from repro.engine.scheduler import run_cell_tasks  # noqa: E402
-from repro.engine.stacking import run_stacked_cell_tasks  # noqa: E402
+from repro.engine.costs import order_cell_tasks  # noqa: E402
+from repro.engine.job import (  # noqa: E402
+    ExplorationJobContext,
+    build_cell_tasks,
+    run_cell_task,
+)
+from repro.engine.scheduler import run_tasks  # noqa: E402
 from repro.experiments.profiles import get_profile  # noqa: E402
 from repro.models import build_model  # noqa: E402
 from repro.robustness.config import ExplorationConfig  # noqa: E402
@@ -316,8 +320,9 @@ def _stacked_grid_bench(
 ) -> dict:
     """One stacked-vs-per-cell grid measurement (parity asserted first).
 
-    Runs the *same* cell task list through ``run_cell_tasks`` and through
-    ``run_stacked_cell_tasks(stack=K)`` on synthetic data, requires every
+    Runs the *same* cell task list through ``run_tasks`` per cell and
+    with ``stack=K`` (packed in T-descending order, the cold-cache cost
+    order) on synthetic data, requires every
     per-cell result to compare equal (the dataclass equality covers all
     science fields), and reports both wall-clocks.  Best-of-two per path
     (the first pass doubles as cache/allocator warm-up), because the
@@ -366,14 +371,20 @@ def _stacked_grid_bench(
     for _ in range(2):
         context = ExplorationJobContext(factory, train, test, config)
         start = time.perf_counter()
-        per_cell, _stats = run_cell_tasks(context, tasks)
+        per_cell, _stats = run_tasks(context, tasks, run_cell_task)
         per_cell_s = min(per_cell_s, time.perf_counter() - start)
 
     stacked_s = math.inf
     for _ in range(2):
         context = ExplorationJobContext(factory, train, test, config)
         start = time.perf_counter()
-        stacked, _stats = run_stacked_cell_tasks(context, tasks, stack=stack)
+        stacked, _stats = run_tasks(
+            context,
+            tasks,
+            run_cell_task,
+            pending_order=lambda pending: order_cell_tasks(pending, None),
+            stack=stack,
+        )
         stacked_s = min(stacked_s, time.perf_counter() - start)
 
     parity = all(a == b for a, b in zip(per_cell, stacked))
@@ -434,7 +445,7 @@ def run_search_benchmarks(profile) -> dict:
     """Guided-search vs exhaustive grid bench (the BENCH_pr8 payload).
 
     Runs the *same* synthetic grid twice — exhaustively through
-    ``run_cell_tasks`` and through the successive-halving scheduler with
+    ``run_tasks`` and through the successive-halving scheduler with
     warm-start — and reports the training-seconds and wall-clock ratios.
     The headline number is ``train_seconds_speedup``: training time is
     what the scheduler exists to save, and the ratio is machine-portable
@@ -483,7 +494,7 @@ def run_search_benchmarks(profile) -> dict:
 
     context = ExplorationJobContext(factory, train, test, config)
     start = time.perf_counter()
-    exhaustive, _stats = run_cell_tasks(context, tasks)
+    exhaustive, _stats = run_tasks(context, tasks, run_cell_task)
     exhaustive_wall_s = time.perf_counter() - start
     exhaustive_train_s = sum(
         cell.phase_seconds.get("train_s", 0.0) for cell in exhaustive
@@ -608,14 +619,14 @@ def run_metrics_overhead_bench(profile, repeats: int = 3) -> dict:
     context = ExplorationJobContext(factory, train, test, config)
 
     reset_metrics()
-    baseline, _stats = run_cell_tasks(context, tasks)
-    plain_s = _best_of(repeats, lambda: run_cell_tasks(context, tasks))
+    baseline, _stats = run_tasks(context, tasks, run_cell_task)
+    plain_s = _best_of(repeats, lambda: run_tasks(context, tasks, run_cell_task))
     with tempfile.TemporaryDirectory() as metrics_dir:
         configure_metrics(metrics_dir)
         try:
-            instrumented, _stats = run_cell_tasks(context, tasks)
+            instrumented, _stats = run_tasks(context, tasks, run_cell_task)
             instrumented_s = _best_of(
-                repeats, lambda: run_cell_tasks(context, tasks)
+                repeats, lambda: run_tasks(context, tasks, run_cell_task)
             )
             # Per-call costs of the two things instrumentation adds to a
             # serial grid run: one record_task per task, one snapshot

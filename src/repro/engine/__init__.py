@@ -10,10 +10,14 @@ turns that observation into infrastructure, split into three layers:
   :func:`run_cell_task` for one ``(Vth, T)`` grid cell, :class:`SweepTask`
   / :func:`run_sweep_task` for one trained-variant ε-sweep (Fig. 9,
   ablations);
-* **scheduler** (:mod:`repro.engine.scheduler`) — :func:`run_tasks`,
-  executing any task list serially, on a fork pool, or on a spawn pool
-  that rebuilds the context from a :class:`ContextSpec`, with identical
-  results in every mode;
+* **executors** — exactly two, with identical results in every mode:
+  :func:`run_tasks` (:mod:`repro.engine.scheduler`), the static one,
+  runs any task list serially, on a fork pool, on a spawn pool that
+  rebuilds the context from a :class:`ContextSpec`, over one
+  :class:`ShardSpec` slice, or (``stack=K``) as K-cell fused
+  :mod:`repro.engine.stacking` groups; :func:`run_queued_tasks`
+  (:mod:`repro.engine.queue`), the dynamic one, serves the same tasks
+  as one worker of an elastic fleet;
 * **caches** (:mod:`repro.engine.cache`) — :class:`CellCache` /
   :class:`SweepCache` atomic JSON result checkpoints and the
   :class:`WeightCache` of trained ``state_dict`` archives, all keyed by
@@ -106,7 +110,6 @@ from repro.engine.resilience import (
 from repro.engine.scheduler import (
     ContextSpec,
     ScheduleStats,
-    run_cell_tasks,
     run_tasks,
 )
 from repro.engine.search import (
@@ -199,7 +202,6 @@ __all__ = [
     "render_snapshot_text",
     "reset_metrics",
     "run_cell_task",
-    "run_cell_tasks",
     "run_halving_search",
     "run_queued_tasks",
     "run_sweep_task",

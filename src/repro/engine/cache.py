@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 import weakref
 import zipfile
@@ -48,7 +47,12 @@ from repro.engine.sweep import SweepResult
 from repro.robustness.results import CellResult
 from repro.training.trainer import TrainingConfig
 from repro.utils.logging import get_logger
-from repro.utils.serialization import load_npz, load_npz_metadata, save_npz
+from repro.utils.serialization import (
+    atomic_write,
+    load_npz,
+    load_npz_metadata,
+    save_npz,
+)
 
 if TYPE_CHECKING:  # annotation-only: repro.engine.job imports this module
     from repro.engine.job import CellTask, ExplorationJobContext
@@ -294,9 +298,7 @@ class _CheckpointCache:
             "task": self._task_payload(task),
             self._value_key: self._encode(value),
         }
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(payload, indent=2, sort_keys=True))
         record_cache(self.kind, "put")
         return path
 
@@ -936,7 +938,7 @@ def _scan_stray_temps(directory: str | Path) -> list[CacheEntry]:
 
     Excluded from :func:`scan_cache_dir` (stats must not count archives
     mid-write), but the pruning commands sweep them: a power-lost worker
-    leaves ``<entry>.json.<pid>.tmp`` / ``.weights_*.<pid>.tmp.npz``
+    leaves ``.<entry>.json.<pid>.<thread>.tmp`` / ``.weights_*.<pid>.tmp.npz``
     strays that would otherwise accumulate forever.
     """
     directory = Path(directory)

@@ -34,14 +34,13 @@ Example::
 
 from __future__ import annotations
 
-import os
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.engine.cache import scan_cache_dir
 from repro.engine.shard import ShardManifest, load_manifests, save_manifests
 from repro.utils.logging import get_logger
+from repro.utils.serialization import atomic_write
 
 __all__ = [
     "CacheMergeError",
@@ -100,9 +99,7 @@ class MergeReport:
 
 
 def _atomic_copy(source: Path, destination: Path) -> None:
-    tmp = destination.with_name(f"{destination.name}.{os.getpid()}.merge.tmp")
-    shutil.copyfile(source, tmp)
-    os.replace(tmp, destination)
+    atomic_write(destination, source.read_bytes())
 
 
 def merge_cache_dirs(

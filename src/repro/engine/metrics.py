@@ -40,6 +40,9 @@ import os
 import socket
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
+
+from repro.utils.serialization import atomic_write
 
 __all__ = [
     "ATTEMPT_BUCKETS",
@@ -690,18 +693,11 @@ def flush_metrics() -> str | None:
     prom_path = os.path.join(directory, f"metrics_{worker}.prom")
     json_path = os.path.join(directory, f"metrics_{worker}.json")
     for path, payload in ((json_path, json.dumps(snap, indent=2) + "\n"), (prom_path, text)):
-        tmp = f"{path}.tmp.{os.getpid()}"
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
+            atomic_write(Path(path), payload)
         except OSError:
             # Telemetry must never abort the computation (full disk,
             # directory deleted mid-run): drop the snapshot silently.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return None
     return prom_path
 

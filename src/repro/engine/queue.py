@@ -97,6 +97,7 @@ from repro.engine.resilience import (
 )
 from repro.engine.scheduler import ScheduleStats
 from repro.engine.shard import record_durable_manifest
+from repro.engine.stacking import execution_groups
 from repro.errors import ReproError
 from repro.utils.logging import get_logger
 
@@ -995,21 +996,10 @@ def run_queued_tasks(
                 time.sleep(poll)
                 continue
             try:
-                if stack > 1 and len(held) > 1:
-                    from repro.engine.stacking import pack_stacks, run_stacked_group
-
-                    groups, singles = pack_stacks(context, held, stack)
-                    for group_tasks, group_models in groups:
-                        execute(
-                            group_tasks,
-                            lambda gt=group_tasks, gm=group_models:
-                                run_stacked_group(context, gt, gm),
-                        )
-                    for task in singles:
-                        execute([task], lambda t=task: [run_fn(context, t)])
-                else:
-                    for task in held:
-                        execute([task], lambda t=task: [run_fn(context, t)])
+                for group_tasks, run in execution_groups(
+                    context, held, run_fn, stack
+                ):
+                    execute(group_tasks, run)
             except WorkerRetired:
                 # Graceful retirement: hand off every unfinished held
                 # lease so peers reclaim it immediately (no TTL wait),

@@ -58,6 +58,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.utils.serialization import atomic_write
+
 try:  # CPython-only: the watchdog's abort mechanism.
     import ctypes
 except ImportError:  # pragma: no cover - no ctypes on exotic builds
@@ -119,27 +121,15 @@ class ChaosFailure(RuntimeError):
 def write_json_exclusive(path: Path, payload: dict) -> bool:
     """Atomically create ``path`` with ``payload`` iff it does not exist.
 
-    The portable full-content ``O_CREAT|O_EXCL``: the payload is written
-    to a private temp file first and *linked* into place, so a reader
-    can never observe a partially written file.  Returns ``False`` when
-    the path already exists (someone else won the race).
+    Returns ``False`` when the path already exists (someone else won the
+    race); a reader never observes a partially written file.
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    try:
-        os.link(tmp, path)
-    except FileExistsError:
-        return False
-    finally:
-        tmp.unlink(missing_ok=True)
-    return True
+    return atomic_write(path, json.dumps(payload, sort_keys=True), exclusive=True)
 
 
 def replace_json(path: Path, payload: dict) -> None:
     """Atomic full rewrite (same temp + ``os.replace`` recipe as caches)."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
 def read_json(path: Path) -> dict | None:

@@ -1,12 +1,15 @@
-"""Serial / multi-process scheduler for experiment jobs.
+"""The static executor for experiment jobs.
 
 :func:`run_tasks` drives any list of picklable tasks (grid
 :class:`~repro.engine.job.CellTask` jobs, variant
 :class:`~repro.engine.sweep.SweepTask` jobs, future sweep families)
-through a pure job function, either in-process (``jobs=1``) or on a
-``multiprocessing`` pool (``jobs>1``).  Because every task carries its
-own derived seeds, all modes produce identical results — parallelism only
-changes wall-clock, never science.
+through a pure job function, either in-process (``jobs=1``), on a
+``multiprocessing`` pool (``jobs>1``), over one shard's slice
+(``shard``) or as K-cell fused groups (``stack=K``, see
+:mod:`repro.engine.stacking`).  Because every task carries its own
+derived seeds, all modes produce identical results — execution mode only
+changes wall-clock, never science.  Its one dynamic sibling is
+:func:`repro.engine.queue.run_queued_tasks`.
 
 Two pool backends are available, selected via ``start_method``:
 
@@ -40,7 +43,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from importlib import import_module
 
-from repro.engine.job import ExplorationJobContext, run_cell_task
 from repro.engine.metrics import (
     configure_metrics,
     flush_metrics,
@@ -49,9 +51,10 @@ from repro.engine.metrics import (
     reset_metrics,
 )
 from repro.engine.shard import ShardSpec
+from repro.engine.stacking import execution_groups
 from repro.utils.logging import get_logger
 
-__all__ = ["ContextSpec", "ScheduleStats", "run_cell_tasks", "run_tasks"]
+__all__ = ["ContextSpec", "ScheduleStats", "run_tasks"]
 
 _logger = get_logger("engine")
 
@@ -148,7 +151,8 @@ class ScheduleStats:
     """Distinct process names that computed at least one task."""
 
     start_method: str = "serial"
-    """Pool backend actually used: ``serial``, ``fork`` or ``spawn``."""
+    """Backend actually used: ``serial``, ``fork``, ``spawn``, ``stacked``
+    or ``queue``."""
 
     shard: str = ""
     """Shard slice this schedule served (``"1/3"``; empty = unsharded)."""
@@ -215,8 +219,13 @@ def run_tasks(
     context_spec: ContextSpec | None = None,
     shard: ShardSpec | None = None,
     pending_order: Callable[[list], list] | None = None,
+    stack: int = 1,
 ) -> tuple[list, ScheduleStats]:
     """Execute ``tasks`` and return ``(results, stats)`` in task order.
+
+    The one static executor: serial, fork/spawn pool, shard slice and
+    K-stacked execution all run through here (the dynamic fleet is
+    :func:`repro.engine.queue.run_queued_tasks`).
 
     With ``shard`` set, only the tasks the shard owns (``task.index mod
     shard.count == shard.index``) are served — from cache or by
@@ -266,15 +275,27 @@ def run_tasks(
         longest-first scheduling).  Execution order only: results are
         still returned — and checkpointed — in declared task order, and
         every task carries its own seeds, so reordering moves wall-clock,
-        never science.
+        never science.  With ``stack > 1`` it also decides which cells
+        share a stack (packing is greedy in this order).
+    stack:
+        Pack up to ``stack`` compatible grid cells
+        (:class:`~repro.engine.job.CellTask` jobs in an
+        :class:`~repro.engine.job.ExplorationJobContext`) into one
+        :func:`~repro.engine.stacking.run_stacked_group` fused pass —
+        per-cell bitwise identical to ``run_fn``.  Stacking runs
+        in-process (the fold replaces worker parallelism), so ``jobs``
+        and ``start_method`` do not apply; cells that cannot stack fall
+        back to ``run_fn``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if stack < 1:
+        raise ValueError(f"stack must be >= 1, got {stack}")
     if start_method not in _START_METHODS:
         raise ValueError(
             f"unknown start_method {start_method!r}; choose from {_START_METHODS}"
         )
-    if start_method == "spawn" and context_spec is None:
+    if start_method == "spawn" and context_spec is None and stack == 1:
         # Validated up front, not at pool creation: a warm cache can leave
         # too few pending tasks for a pool, and this programming error
         # must not pass or fail depending on cache state.
@@ -371,8 +392,8 @@ def run_tasks(
         if progress is not None:
             progress(task, result, False)
 
-    effective_jobs = min(jobs, len(pending)) if pending else 1
-    method_used = "serial"
+    effective_jobs = min(jobs, len(pending)) if pending and stack == 1 else 1
+    method_used = "serial" if stack == 1 else "stacked"
     if effective_jobs > 1:
         mp_context, init_arg, method_used = _select_backend(
             start_method, context, context_spec
@@ -397,9 +418,9 @@ def run_tasks(
                 index, result = future.result()
                 record(by_index[index], result)
     else:
-        method_used = "serial"
-        for task in pending:
-            record(task, run_fn(context, task))
+        for group, run in execution_groups(context, pending, run_fn, stack):
+            for task, result in zip(group, run()):
+                record(task, result)
 
     ordered = [results[task.index] for task in tasks]
     stats = ScheduleStats(
@@ -414,38 +435,3 @@ def run_tasks(
     )
     flush_metrics()
     return ordered, stats
-
-
-def run_cell_tasks(
-    context: ExplorationJobContext,
-    tasks: Sequence,
-    jobs: int = 1,
-    cache=None,
-    resume: bool = False,
-    progress: ProgressCallback | None = None,
-    start_method: str = "auto",
-    context_spec: ContextSpec | None = None,
-    shard: ShardSpec | None = None,
-    pending_order: Callable[[list], list] | None = None,
-) -> tuple[list, ScheduleStats]:
-    """Grid-cell convenience wrapper: :func:`run_tasks` with
-    :func:`~repro.engine.job.run_cell_task` as the job function.
-
-    Example::
-
-        cells, stats = run_cell_tasks(context, build_cell_tasks(config),
-                                      jobs=4, cache=cache, resume=True)
-    """
-    return run_tasks(
-        context,
-        tasks,
-        run_cell_task,
-        jobs=jobs,
-        cache=cache,
-        resume=resume,
-        progress=progress,
-        start_method=start_method,
-        context_spec=context_spec,
-        shard=shard,
-        pending_order=pending_order,
-    )

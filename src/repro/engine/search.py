@@ -79,8 +79,7 @@ from repro.engine.job import (
     run_cell_task,
 )
 from repro.engine.queue import DEFAULT_LEASE_TTL, run_queued_tasks
-from repro.engine.scheduler import run_cell_tasks
-from repro.engine.stacking import run_stacked_cell_tasks
+from repro.engine.scheduler import run_tasks
 from repro.errors import ExplorationError
 from repro.robustness.results import CellResult, ExplorationResult
 from repro.utils.logging import get_logger
@@ -668,25 +667,17 @@ def _run_rung(
                 f"the shared cache directory may have been pruned mid-run"
             )
         return results, stats
-    if stack > 1:
-        return run_stacked_cell_tasks(
-            context,
-            tasks,
-            stack=stack,
-            cache=cell_cache,
-            resume=resume,
-            progress=progress,
-        )
-    return run_cell_tasks(
+    return run_tasks(
         context,
         tasks,
+        run_cell_task,
         jobs=jobs,
         cache=cell_cache,
         resume=resume,
         progress=progress,
         start_method=start_method,
-        context_spec=None,
         pending_order=order,
+        stack=stack,
     )
 
 

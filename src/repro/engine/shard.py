@@ -37,11 +37,11 @@ Example — two hosts, one grid::
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.utils.logging import get_logger
+from repro.utils.serialization import atomic_write
 
 __all__ = [
     "MANIFEST_NAME",
@@ -304,9 +304,7 @@ def save_manifests(
             manifests[key].as_dict() for key in sorted(manifests)
         ],
     }
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True))
     return path
 
 

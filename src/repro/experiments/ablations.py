@@ -35,7 +35,6 @@ from repro.experiments.sweeps import (
     build_ablation_context,
     build_ablation_tasks,
     run_sweep_schedule,
-    shard_run_result,
 )
 from repro.robustness.report import render_curve_table
 
@@ -195,10 +194,8 @@ def run_ablation_suite(
         lease_ttl=lease_ttl,
         resilience=resilience,
     )
-    if queue_dir is not None:
-        return results  # the worker's QueueRunResult; no tables yet
-    if shard is not None:
-        return shard_run_result("ablation", shard, tasks, metadata)
+    if queue_dir is not None or shard is not None:
+        return results  # the worker's/shard's summary; no tables yet
     return _group_by_factor(tasks, results, metadata)
 
 

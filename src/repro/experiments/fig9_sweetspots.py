@@ -33,7 +33,6 @@ from repro.experiments.sweeps import (
     build_fig9_context,
     build_fig9_tasks,
     run_sweep_schedule,
-    shard_run_result,
 )
 from repro.robustness.report import render_curve_table
 from repro.robustness.security import RobustnessCurve
@@ -164,10 +163,8 @@ def run_fig9(
         lease_ttl=lease_ttl,
         resilience=resilience,
     )
-    if queue_dir is not None:
-        return results  # the worker's QueueRunResult; no figure yet
-    if shard is not None:
-        return shard_run_result("fig9", shard, tasks, metadata)
+    if queue_dir is not None or shard is not None:
+        return results  # the worker's/shard's summary; no figure yet
 
     clean: dict[str, float] = {}
     snn_curves: dict[tuple[float, int], RobustnessCurve] = {}

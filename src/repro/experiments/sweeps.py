@@ -16,13 +16,16 @@ pieces:
 
 The experiment runners in :mod:`repro.experiments.fig9_sweetspots`,
 :mod:`repro.experiments.ablations` and
-:mod:`repro.experiments.fig678_grid` consume both and feed them to
-:func:`repro.engine.scheduler.run_tasks`.
+:mod:`repro.experiments.fig678_grid` consume both and execute them
+through :func:`run_schedule`, the one mode dispatch in front of
+:func:`repro.engine.scheduler.run_tasks` (static: serial, pool, shard,
+stack) and :func:`repro.engine.queue.run_queued_tasks` (dynamic fleet).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 
 from repro.engine.cache import SweepCache, WeightCache, sweep_fingerprint, training_fingerprint
@@ -73,6 +76,8 @@ __all__ = [
     "build_fig9_context",
     "build_fig9_tasks",
     "build_grid_context",
+    "check_schedule_modes",
+    "run_schedule",
     "run_sweep_schedule",
     "shard_run_result",
     "spawn_spec_for",
@@ -121,6 +126,148 @@ def spawn_spec_for(
     )
 
 
+def check_schedule_modes(
+    cache_dir: str | Path | None,
+    resume: bool,
+    shard: ShardSpec | None,
+    queue_dir: str | Path | None,
+) -> None:
+    """Reject execution-mode combinations before any context is built."""
+    if resume and cache_dir is None:
+        raise ValueError("resume=True requires cache_dir to resume from")
+    if queue_dir is not None and shard is not None:
+        raise ValueError("queue_dir (dynamic fleet) conflicts with shard (static)")
+    if queue_dir is not None and cache_dir is None:
+        raise ValueError("queue_dir requires cache_dir: the shared checkpoint "
+                         "directory is how queue workers exchange results")
+
+
+def run_schedule(
+    context,
+    tasks: list,
+    run_fn: Callable,
+    experiment: str,
+    profile: ExperimentProfile,
+    *,
+    pending_order: Callable[[list], list],
+    deadline_estimator: Callable,
+    cache=None,
+    cache_dir: str | Path | None = None,
+    progress: Callable | None = None,
+    jobs: int = 1,
+    resume: bool = False,
+    start_method: str = "auto",
+    context_spec: ContextSpec | None = None,
+    shard: ShardSpec | None = None,
+    stack: int = 1,
+    queue_dir: str | Path | None = None,
+    lease_ttl: float = DEFAULT_LEASE_TTL,
+    resilience: ResilienceConfig | None = None,
+) -> tuple[list | ShardRunResult | QueueRunResult, dict]:
+    """The one mode dispatch of the engine-backed experiments.
+
+    Grid, Fig. 9 and the ablations all execute through here; the caller
+    supplies the job pieces (context, tasks, job function, cache, cost
+    ordering as ``pending_order``, watchdog pricing) and this picks the
+    executor and shapes the outcome.
+    Returns ``(outcome, metadata)``:
+
+    * with ``queue_dir``, the run joins the dynamic work queue under
+      ``<queue_dir>/<experiment>`` as one worker of an elastic fleet
+      (:func:`~repro.engine.queue.run_queued_tasks`, which certifies the
+      manifest itself) and ``outcome`` is its
+      :class:`~repro.engine.queue.QueueRunResult` — the figure is
+      rendered later, by a ``--resume`` run against the shared cache.
+      ``deadline_estimator(multiplier=..., floor=...)`` prices each
+      task's watchdog deadline from ``resilience``;
+    * otherwise :func:`~repro.engine.scheduler.run_tasks` runs the tasks
+      (serial, pool, ``shard`` slice or ``stack``-ed).  Whenever a cache
+      is in play, the run folds its durably checkpointed task ids into
+      the directory's shard manifest (``shard.json``) in a ``finally``,
+      so even an interrupted run leaves an accurate completion record
+      for ``cache verify``.  ``outcome`` is the result list in task
+      order or, with ``shard``, the :func:`shard_run_result` summary.
+
+    ``metadata`` carries the profile name, the engine stats and the
+    manifest path (for queue and shard runs it *is* the outcome's
+    metadata dict, so callers may extend it in place).
+    """
+    if queue_dir is not None:
+        supervision = resilience if resilience is not None else ResilienceConfig()
+        queue_result, _stats = run_queued_tasks(
+            context,
+            tasks,
+            run_fn,
+            cache,
+            Path(queue_dir) / experiment,
+            experiment=experiment,
+            cache_dir=cache_dir,
+            resume=resume,
+            progress=progress,
+            lease_ttl=lease_ttl,
+            pending_order=pending_order,
+            stack=stack,
+            resilience=supervision,
+            task_deadline=deadline_estimator(
+                multiplier=supervision.watchdog_multiplier,
+                floor=supervision.watchdog_floor,
+            ),
+        )
+        queue_result.metadata["profile"] = profile.name
+        return queue_result, queue_result.metadata
+
+    manifest_path: str | None = None
+    try:
+        results, stats = run_tasks(
+            context,
+            tasks,
+            run_fn,
+            jobs=jobs,
+            cache=cache,
+            resume=resume,
+            progress=progress,
+            start_method=start_method,
+            context_spec=context_spec,
+            shard=shard,
+            pending_order=pending_order,
+            stack=stack,
+        )
+    finally:
+        if cache is not None:
+            manifest_path = record_durable_manifest(
+                cache_dir, cache, experiment, tasks, shard
+            )
+    metadata = {"profile": profile.name, "engine": stats.as_dict()}
+    if manifest_path is not None:
+        metadata["manifest_path"] = manifest_path
+    if shard is not None:
+        return shard_run_result(experiment, shard, tasks, metadata), metadata
+    return results, metadata
+
+
+def shard_run_result(
+    experiment: str,
+    shard: ShardSpec,
+    tasks: list,
+    metadata: dict,
+) -> ShardRunResult:
+    """The summary a sharded run returns instead of its figure.
+
+    Reaching this point means :func:`run_schedule`'s
+    :func:`~repro.engine.scheduler.run_tasks` returned, i.e. every owned
+    task completed — the owned slice *is* the completed set.
+    """
+    owned = shard.partition(tasks)
+    return ShardRunResult(
+        experiment=experiment,
+        shard=shard,
+        task_count=len(tasks),
+        completed=tuple(task.index for task in owned),
+        manifest_path=metadata.get("manifest_path"),
+        metadata=metadata,
+    )
+
+
 def run_sweep_schedule(
     profile: ExperimentProfile,
     context_builder: Callable,
@@ -135,35 +282,16 @@ def run_sweep_schedule(
     queue_dir: str | Path | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     resilience: ResilienceConfig | None = None,
-) -> tuple[list[SweepResult] | QueueRunResult, dict]:
-    """Shared scheduling scaffold of the engine-ported sweep experiments.
+) -> tuple[list[SweepResult] | ShardRunResult | QueueRunResult, dict]:
+    """Sweep-experiment set-up in front of :func:`run_schedule`.
 
     Builds the context via ``context_builder`` (one of this module's
     ``build_*_context`` functions — its name doubles as the spawn spec
-    target), wires up the result cache, progress logging and the spawn
-    spec, runs the schedule, and returns ``(results, metadata)`` where
-    metadata carries the engine stats and the weight-reuse count.
-
-    With ``shard`` set, only the shard's slice of ``tasks`` is served and
-    ``results`` covers exactly that slice.  Whenever a cache directory is
-    in play, the run folds its completed task ids into the directory's
-    shard manifest (``shard.json``) — written in a ``finally`` so even an
-    interrupted run leaves an accurate completion record for
-    ``cache verify`` / :func:`repro.engine.merge.verify_cache_dir`.
-
-    With ``queue_dir`` set, the run instead joins the dynamic work queue
-    under ``<queue_dir>/<experiment>`` as one worker of an elastic fleet
-    (see :mod:`repro.engine.queue`) and ``results`` is the worker's
-    :class:`~repro.engine.queue.QueueRunResult` — the figure is rendered
-    later, by a ``--resume`` run against the shared cache directory.
+    target), the sweep cache, progress logging and the longest-first
+    ordering, then dispatches; ``metadata`` additionally counts this
+    run's trained-weight reuses (``weights_reused``).
     """
-    if resume and cache_dir is None:
-        raise ValueError("resume=True requires cache_dir to resume from")
-    if queue_dir is not None and shard is not None:
-        raise ValueError("queue_dir (dynamic fleet) conflicts with shard (static)")
-    if queue_dir is not None and cache_dir is None:
-        raise ValueError("queue_dir requires cache_dir: the shared checkpoint "
-                         "directory is how queue workers exchange results")
+    check_schedule_modes(cache_dir, resume, shard, queue_dir)
     context = context_builder(profile, cache_dir=cache_dir, reuse_weights=resume)
     cache = None
     if cache_dir is not None:
@@ -174,7 +302,6 @@ def run_sweep_schedule(
         cache = SweepCache(
             cache_dir, sweep_fingerprint(context, tags=_model_tags(profile, experiment))
         )
-    spec = spawn_spec_for(context_builder.__name__, profile, cache_dir, resume)
     logger = get_logger(f"experiments.{experiment}")
     total = len(tasks) if shard is None else len(shard.partition(tasks))
     done = 0
@@ -201,86 +328,28 @@ def run_sweep_schedule(
     # instead of idling behind one long straggler; costs come from prior
     # runs' cached phase timings, falling back to a T-descending estimate.
     costs = cached_sweep_costs(cache_dir) if cache_dir is not None else None
-
-    if queue_dir is not None:
-        supervision = resilience if resilience is not None else ResilienceConfig()
-        queue_result, stats = run_queued_tasks(
-            context,
-            tasks,
-            run_sweep_task,
-            cache,
-            Path(queue_dir) / experiment,
-            experiment=experiment,
-            cache_dir=cache_dir,
-            resume=resume,
-            progress=progress,
-            lease_ttl=lease_ttl,
-            pending_order=lambda pending: order_sweep_tasks(pending, costs),
-            resilience=supervision,
-            task_deadline=sweep_deadline_estimator(
-                costs,
-                multiplier=supervision.watchdog_multiplier,
-                floor=supervision.watchdog_floor,
-            ),
-        )
-        queue_result.metadata.update(
-            profile=profile.name, weights_reused=weights_reused
-        )
-        metadata = dict(queue_result.metadata)
-        if queue_result.manifest_path is not None:
-            metadata["manifest_path"] = queue_result.manifest_path
-        return queue_result, metadata
-
-    manifest_path: str | None = None
-    try:
-        results, stats = run_tasks(
-            context,
-            tasks,
-            run_sweep_task,
-            jobs=jobs,
-            cache=cache,
-            resume=resume,
-            progress=progress,
-            start_method=start_method,
-            context_spec=spec,
-            shard=shard,
-            pending_order=lambda pending: order_sweep_tasks(pending, costs),
-        )
-    finally:
-        if cache is not None:
-            manifest_path = record_durable_manifest(
-                cache_dir, cache, experiment, tasks, shard
-            )
-    metadata = {
-        "profile": profile.name,
-        "engine": stats.as_dict(),
-        "weights_reused": weights_reused,
-    }
-    if manifest_path is not None:
-        metadata["manifest_path"] = manifest_path
-    return results, metadata
-
-
-def shard_run_result(
-    experiment: str,
-    shard: ShardSpec,
-    tasks: list[SweepTask],
-    metadata: dict,
-) -> ShardRunResult:
-    """The summary a sharded sweep runner returns instead of its figure.
-
-    Reaching this point means :func:`run_sweep_schedule` returned, i.e.
-    every owned task completed — the owned slice *is* the completed set.
-    """
-    owned = shard.partition(tasks)
-    return ShardRunResult(
-        experiment=experiment,
+    outcome, metadata = run_schedule(
+        context,
+        tasks,
+        run_sweep_task,
+        experiment,
+        profile,
+        cache=cache,
+        cache_dir=cache_dir,
+        progress=progress,
+        pending_order=lambda pending: order_sweep_tasks(pending, costs),
+        deadline_estimator=partial(sweep_deadline_estimator, costs),
+        jobs=jobs,
+        resume=resume,
+        start_method=start_method,
+        context_spec=spawn_spec_for(context_builder.__name__, profile, cache_dir, resume),
         shard=shard,
-        task_count=len(tasks),
-        completed=tuple(task.index for task in owned),
-        manifest_path=metadata.get("manifest_path"),
-        metadata=metadata,
+        queue_dir=queue_dir,
+        lease_ttl=lease_ttl,
+        resilience=resilience,
     )
+    metadata["weights_reused"] = weights_reused
+    return outcome, metadata
 
 
 # -- Figs. 6-8 grid ------------------------------------------------------------

@@ -108,6 +108,52 @@ class RobustnessExplorer:
 
     # -- full grid -----------------------------------------------------------------
 
+    def progress_logger(
+        self, total: int, verbose: bool
+    ) -> "Callable[[CellTask, CellResult, bool], None] | None":
+        """Per-cell log line callback for the engine, or ``None`` when quiet."""
+        if not verbose:
+            return None
+        done = 0
+
+        def progress(task: "CellTask", cell: CellResult, from_cache: bool) -> None:
+            nonlocal done
+            done += 1
+            status = "learnable" if cell.learnable else "rejected"
+            if from_cache:
+                status += " (cached)"
+            _logger.info(
+                "[%d/%d] Vth=%g T=%d acc=%.3f %s %s",
+                done,
+                total,
+                task.v_th,
+                task.time_window,
+                cell.clean_accuracy,
+                status,
+                {e: round(r, 3) for e, r in cell.robustness.items()},
+            )
+
+        return progress
+
+    def collect(self, cells: list[CellResult], metadata: dict) -> ExplorationResult:
+        """Assemble the grid result from per-cell results in task order;
+        ``metadata`` (engine stats, provenance) joins the config's."""
+        return ExplorationResult(
+            v_thresholds=self.config.v_thresholds,
+            time_windows=self.config.time_windows,
+            cells=cells,
+            metadata={
+                "attack": self.config.attack,
+                "attack_steps": self.config.attack_steps,
+                "epsilons": list(self.config.epsilons),
+                "accuracy_threshold": self.config.accuracy_threshold,
+                "seed": self.config.seed,
+                "num_train": len(self.train_set),
+                "num_test": len(self.test_set),
+                **metadata,
+            },
+        )
+
     def run(
         self,
         verbose: bool = False,
@@ -148,77 +194,31 @@ class RobustnessExplorer:
             only recomputes the security analysis.
         stack:
             Pack up to ``stack`` compatible cells into one
-            :class:`~repro.snn.stack.VariantStack` fused pass
-            (:func:`~repro.engine.stacking.run_stacked_cell_tasks`).
-            Stacked execution is in-process and per-cell bitwise
-            identical to the unstacked path; ``1`` (the default) keeps
-            the per-cell scheduler, where ``jobs``/``start_method``
-            apply.
+            :class:`~repro.snn.stack.VariantStack` fused pass.  Stacked
+            execution is in-process and per-cell bitwise identical to
+            the unstacked path; ``1`` (the default) keeps per-cell
+            execution, where ``jobs``/``start_method`` apply.
         """
         from repro.engine.costs import cached_cell_costs, order_cell_tasks
-        from repro.engine.scheduler import run_cell_tasks
-        from repro.engine.stacking import run_stacked_cell_tasks
+        from repro.engine.job import run_cell_task
+        from repro.engine.scheduler import run_tasks
 
         tasks = self.tasks()
-        total = len(tasks)
-        done = 0
-
-        def progress(task: "CellTask", cell: CellResult, from_cache: bool) -> None:
-            nonlocal done
-            done += 1
-            if not verbose:
-                return
-            status = "learnable" if cell.learnable else "rejected"
-            if from_cache:
-                status += " (cached)"
-            _logger.info(
-                "[%d/%d] Vth=%g T=%d acc=%.3f %s %s",
-                done,
-                total,
-                task.v_th,
-                task.time_window,
-                cell.clean_accuracy,
-                status,
-                {e: round(r, 3) for e, r in cell.robustness.items()},
-            )
-
         context = self.context
         context.weight_cache = weight_cache
         context.reuse_weights = weight_cache is not None and resume
-        if stack > 1:
-            cells, stats = run_stacked_cell_tasks(
-                context,
-                tasks,
-                stack=stack,
-                cache=cache,
-                resume=resume,
-                progress=progress,
-            )
-        else:
-            costs = cached_cell_costs(cache.directory) if cache is not None else None
-            cells, stats = run_cell_tasks(
-                context,
-                tasks,
-                jobs=jobs,
-                cache=cache,
-                resume=resume,
-                progress=progress,
-                start_method=start_method,
-                context_spec=context_spec,
-                pending_order=lambda pending: order_cell_tasks(pending, costs),
-            )
-        return ExplorationResult(
-            v_thresholds=self.config.v_thresholds,
-            time_windows=self.config.time_windows,
-            cells=cells,
-            metadata={
-                "attack": self.config.attack,
-                "attack_steps": self.config.attack_steps,
-                "epsilons": list(self.config.epsilons),
-                "accuracy_threshold": self.config.accuracy_threshold,
-                "seed": self.config.seed,
-                "num_train": len(self.train_set),
-                "num_test": len(self.test_set),
-                "engine": stats.as_dict(),
-            },
+        costs = cached_cell_costs(cache.directory) if cache is not None else None
+        cells, stats = run_tasks(
+            context,
+            tasks,
+            run_cell_task,
+            jobs=jobs,
+            cache=cache,
+            resume=resume,
+            progress=self.progress_logger(len(tasks), verbose),
+            start_method=start_method,
+            context_spec=context_spec,
+            pending_order=lambda pending: order_cell_tasks(pending, costs),
+            stack=stack,
         )
+        return self.collect(cells, {"engine": stats.as_dict()})

@@ -13,11 +13,40 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
 
 _METADATA_KEY = "__repro_metadata__"
+
+
+def atomic_write(path: Path, data: str | bytes, *, exclusive: bool = False) -> bool:
+    """Write ``data`` to ``path`` so no reader ever sees a partial file.
+
+    The bytes go to a hidden ``.<name>.<pid>.<thread>.tmp`` sibling first,
+    then move into place with :func:`os.replace` — or, with ``exclusive``,
+    are hard-linked into place, the portable full-content
+    ``O_CREAT|O_EXCL``: returns ``False`` (writing nothing) when ``path``
+    already exists.  The temp name is unique per process *and* thread, so
+    concurrent writers of one path in one process (a heartbeat thread
+    refreshing a lease beside a claim) never rename or unlink each
+    other's temp file; the ``.tmp`` suffix is what ``cache gc`` sweeps
+    after a killed writer.  Strings are written as UTF-8.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        if not exclusive:
+            os.replace(tmp, path)
+            return True
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            return False
+        return True
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_npz(

@@ -20,7 +20,7 @@ from repro.engine import (
     build_cell_tasks,
     context_fingerprint,
     run_cell_task,
-    run_cell_tasks,
+    run_tasks,
 )
 from repro.experiments import runner as runner_module
 from repro.experiments.runner import main
@@ -183,7 +183,7 @@ class TestSchedulerUnits:
     def test_duplicate_task_indices_rejected(self, explorer):
         task = explorer.tasks()[0]
         with pytest.raises(ValueError):
-            run_cell_tasks(explorer.context, [task, task])
+            run_tasks(explorer.context, [task, task], run_cell_task)
 
     def test_build_cell_tasks_is_deterministic(self):
         config = _tiny_config()

@@ -44,8 +44,8 @@ from repro.engine import (
     queue_status,
     read_events,
     run_cell_task,
-    run_cell_tasks,
     run_queued_tasks,
+    run_tasks,
     verify_cache_dir,
 )
 from repro.experiments.runner import main
@@ -699,13 +699,13 @@ class TestQueueParity:
     def test_queue_equals_shard_equals_serial(self, explorer, tmp_path):
         tasks = explorer.tasks()
         fingerprint = context_fingerprint(explorer.context)
-        serial, _ = run_cell_tasks(explorer.context, tasks)
+        serial, _ = run_tasks(explorer.context, tasks, run_cell_task)
 
         # Static partition: two shards into one shared cache directory.
         shard_cache = CellCache(tmp_path / "shards", fingerprint)
         for index in range(2):
-            run_cell_tasks(explorer.context, tasks, cache=shard_cache,
-                           shard=ShardSpec(index, 2))
+            run_tasks(explorer.context, tasks, run_cell_task,
+                      cache=shard_cache, shard=ShardSpec(index, 2))
 
         # Dynamic partition: one queue worker drains the same task list.
         queue_cache = CellCache(tmp_path / "qcache", fingerprint)
@@ -727,7 +727,7 @@ class TestQueueParity:
         # same bytes, no contagion — and leave only the poisoned index
         # without a checkpoint.
         tasks = explorer.tasks()
-        serial, _ = run_cell_tasks(explorer.context, tasks)
+        serial, _ = run_tasks(explorer.context, tasks, run_cell_task)
         poisoned = tasks[2].index
         cache = CellCache(tmp_path / "cache", context_fingerprint(explorer.context))
 

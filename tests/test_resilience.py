@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import signal
+import sys
 import threading
 import time
 from collections import Counter
@@ -45,6 +46,9 @@ from repro.engine.resilience import (
     attempt_records,
     handoff_records,
     quarantined_indices,
+    read_json,
+    replace_json,
+    write_json_exclusive,
 )
 from repro.robustness import ExplorationConfig, RobustnessExplorer
 from repro.training.trainer import TrainingConfig
@@ -114,6 +118,44 @@ class TestResilienceConfig:
             ResilienceConfig(watchdog_multiplier=-1.0)
         with pytest.raises(ValueError, match="watchdog_floor"):
             ResilienceConfig(watchdog_floor=-1.0)
+
+
+class TestAtomicJsonWriters:
+    def test_concurrent_writers_in_one_process_never_collide(self, tmp_path):
+        # A heartbeat thread refreshing a lease (replace_json) beside a
+        # claim attempt (write_json_exclusive) on the same path: each
+        # write must own its temp file, or one writer renames or unlinks
+        # the temp another is about to move into place.
+        path = tmp_path / "lease_5.json"
+        replace_json(path, {"writer": -1})
+        start = threading.Barrier(6)
+        errors: list[Exception] = []
+
+        def hammer(writer: int) -> None:
+            start.wait()
+            try:
+                for round_ in range(150):
+                    if writer % 2:
+                        replace_json(path, {"writer": writer, "round": round_})
+                    else:
+                        assert not write_json_exclusive(path, {"writer": writer})
+            except Exception as error:  # reported after the join
+                errors.append(error)
+
+        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(6)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert read_json(path)["writer"] in (-1, 1, 3, 5)
+        assert [p.name for p in tmp_path.iterdir()] == ["lease_5.json"]
 
 
 class TestAttemptLedger:

@@ -29,7 +29,7 @@ from repro.engine import (
     gc_cache_dir,
     nearest_weight_entry,
     run_cell_task,
-    run_cell_tasks,
+    run_tasks,
 )
 from repro.engine.cache import split_optimizer_arrays
 from repro.engine.job import ExplorationJobContext, WarmStartRef, build_cell_tasks
@@ -312,7 +312,9 @@ def _search_config(schedule=(1, 2), **overrides) -> SearchConfig:
 class TestHalvingSearch:
     def test_search_finds_the_exhaustive_top1(self, tmp_path):
         context = _context()
-        exhaustive, _ = run_cell_tasks(context, build_cell_tasks(context.config))
+        exhaustive, _ = run_tasks(
+            context, build_cell_tasks(context.config), run_cell_task
+        )
         epsilon = max(context.config.epsilons)
         best = max(
             (c for c in exhaustive if c.learnable),

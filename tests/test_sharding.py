@@ -20,11 +20,12 @@ from repro.engine import (
     CellCache,
     ShardManifest,
     ShardSpec,
+    build_cell_tasks,
     context_fingerprint,
     load_manifests,
     merge_cache_dirs,
     run_cell_task,
-    run_cell_tasks,
+    run_tasks,
     update_manifest,
     verify_cache_dir,
 )
@@ -108,7 +109,7 @@ class TestShardedScheduling:
     def test_shard_serves_only_owned_tasks(self, explorer):
         tasks = explorer.tasks()
         shard = ShardSpec(1, 2)
-        results, stats = run_cell_tasks(explorer.context, tasks, shard=shard)
+        results, stats = run_tasks(explorer.context, tasks, run_cell_task, shard=shard)
         owned = shard.partition(tasks)
         assert len(results) == len(owned)
         assert stats.total_cells == len(owned)
@@ -117,31 +118,21 @@ class TestShardedScheduling:
         for task, cell in zip(owned, results):
             assert cell == run_cell_task(explorer.context, task)
 
-    def test_shards_union_to_the_full_run(self, explorer):
-        tasks = explorer.tasks()
-        full, _ = run_cell_tasks(explorer.context, tasks)
-        pieces: dict[int, object] = {}
-        for index in range(3):
-            shard = ShardSpec(index, 3)
-            results, _ = run_cell_tasks(explorer.context, tasks, shard=shard)
-            for task, cell in zip(shard.partition(tasks), results):
-                pieces[task.index] = cell
-        assert [pieces[t.index] for t in tasks] == full
-
     def test_shard_resume_replays_only_that_shards_incomplete(
         self, explorer, tmp_path
     ):
         tasks = explorer.tasks()
         shard = ShardSpec(0, 2)
         cache = self._cache(explorer, tmp_path)
-        run_cell_tasks(explorer.context, tasks, cache=cache, shard=shard)
+        run_tasks(explorer.context, tasks, run_cell_task, cache=cache, shard=shard)
         owned = shard.partition(tasks)
         assert len(cache) == len(owned)
         # Lose one of the shard's checkpoints; resume recomputes exactly
         # that task and never touches the other shard's work.
         cache.path_for(owned[1]).unlink()
-        _, stats = run_cell_tasks(
-            explorer.context, tasks, cache=cache, resume=True, shard=shard
+        _, stats = run_tasks(
+            explorer.context, tasks, run_cell_task,
+            cache=cache, resume=True, shard=shard,
         )
         assert stats.cached_cells == len(owned) - 1
         assert stats.computed_cells == 1
@@ -154,22 +145,25 @@ class TestShardedScheduling:
         tasks = explorer.tasks()
         cache = self._cache(explorer, tmp_path)
         for index in range(2):
-            run_cell_tasks(
-                explorer.context, tasks, cache=cache, shard=ShardSpec(index, 2)
+            run_tasks(
+                explorer.context, tasks, run_cell_task,
+                cache=cache, shard=ShardSpec(index, 2),
             )
-        results, stats = run_cell_tasks(
-            explorer.context, tasks, cache=cache, resume=True
+        results, stats = run_tasks(
+            explorer.context, tasks, run_cell_task, cache=cache, resume=True
         )
         assert stats.cached_cells == len(tasks)
         assert stats.computed_cells == 0
-        full, _ = run_cell_tasks(explorer.context, tasks)
+        full, _ = run_tasks(explorer.context, tasks, run_cell_task)
         assert results == full
 
 
 class TestCacheMerge:
     def _populate_shard(self, explorer, directory, shard) -> CellCache:
         cache = CellCache(directory, context_fingerprint(explorer.context))
-        run_cell_tasks(explorer.context, explorer.tasks(), cache=cache, shard=shard)
+        run_tasks(
+            explorer.context, explorer.tasks(), run_cell_task, cache=cache, shard=shard
+        )
         return cache
 
     def test_merge_unions_disjoint_shards(self, explorer, tmp_path):
@@ -364,11 +358,17 @@ class TestManifestInvalidation:
         from repro.engine import gc_cache_dir
 
         fp12 = verify_cache_dir(tmp_path)[1][0]["fingerprint"][:12]
-        stray = tmp_path / f"sweep_{fp12}_{'0' * 32}.json.999.tmp"
-        stray.write_text("{partial")
-        os.utime(stray, (1_000_000, 1_000_000))
-        assert gc_cache_dir(tmp_path, max_age_seconds=3600) == 1
-        assert not stray.exists()
+        # Both temp names: today's writers' (hidden, per pid and thread)
+        # and the older per-pid one.
+        strays = [
+            tmp_path / f".sweep_{fp12}_{'0' * 32}.json.999.12345.tmp",
+            tmp_path / f"sweep_{fp12}_{'1' * 32}.json.999.tmp",
+        ]
+        for stray in strays:
+            stray.write_text("{partial")
+            os.utime(stray, (1_000_000, 1_000_000))
+        assert gc_cache_dir(tmp_path, max_age_seconds=3600) == 2
+        assert not any(stray.exists() for stray in strays)
         ok, _ = verify_cache_dir(tmp_path)
         assert ok
 
@@ -393,6 +393,44 @@ class TestManifestInvalidation:
 
 
 class TestShardedExperimentRunners:
+    def test_interrupted_unsharded_grid_certifies_written_checkpoints(
+        self, tmp_path, monkeypatch
+    ):
+        # Every mode records its manifest in a `finally`, the unsharded
+        # grid included: a crash mid-grid leaves a shard.json vouching
+        # for exactly the checkpoints that reached the disk.
+        from repro.experiments import run_grid_exploration, sweeps
+
+        build_factory = sweeps.build_grid_model_factory
+        started: list[tuple[float, int]] = []
+
+        def crash_third_cell(profile):
+            factory = build_factory(profile)
+
+            def build(v_th, time_window, seed):
+                started.append((float(v_th), int(time_window)))
+                if len(started) == 3:
+                    raise RuntimeError("cell crashed")
+                return factory(v_th, time_window, seed)
+
+            return build
+
+        monkeypatch.setattr(sweeps, "build_grid_model_factory", crash_third_cell)
+        with pytest.raises(RuntimeError, match="cell crashed"):
+            run_grid_exploration("micro", cache_dir=tmp_path)
+        written = sorted(tmp_path.glob("cell_*.json"))
+        assert len(written) == 2
+        (manifest,) = load_manifests(tmp_path).values()
+        assert manifest.experiment == "grid"
+        index_of = {
+            (task.v_th, task.time_window): task.index
+            for task in build_cell_tasks(sweeps.build_grid_context("micro").config)
+        }
+        assert manifest.completed_ids() == {index_of[cell] for cell in started[:2]}
+        ok, summaries = verify_cache_dir(tmp_path)
+        assert not ok
+        assert summaries[0]["completed"] == 2
+
     def test_grid_shards_merge_to_the_single_process_result(self, tmp_path):
         from repro.experiments import run_grid_exploration
 

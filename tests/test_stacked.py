@@ -32,9 +32,11 @@ from repro.engine.costs import (
     order_cell_tasks,
     order_sweep_tasks,
 )
-from repro.engine.job import ExplorationJobContext, build_cell_tasks
-from repro.engine.scheduler import run_cell_tasks, run_tasks
-from repro.engine.stacking import pack_stacks, run_stacked_cell_tasks
+from repro.engine.job import ExplorationJobContext, build_cell_tasks, run_cell_task
+from repro.engine.merge import merge_cache_dirs
+from repro.engine.scheduler import run_tasks
+from repro.engine.shard import ShardSpec
+from repro.engine.stacking import pack_stacks
 from repro.models.spiking_lenet import build_spiking_lenet_mini
 from repro.robustness.config import ExplorationConfig
 from repro.snn.encoding import PoissonEncoder
@@ -323,48 +325,122 @@ def _grid_fixture():
     return factory, train, test, config
 
 
-class TestStackedEngine:
-    def test_stacked_schedule_matches_unstacked_bitwise(self, tmp_path):
-        factory, train, test, config = _grid_fixture()
-        tasks = build_cell_tasks(config)
+def _longest_first(pending):
+    """The cold-cache cost order every grid caller passes (T-descending)."""
+    return order_cell_tasks(pending, None)
 
-        ctx_a = ExplorationJobContext(factory, train, test, config)
-        ctx_a.weight_cache = WeightCache(
-            tmp_path / "a", training_fingerprint(train, config.training)
-        )
-        base, _stats = run_cell_tasks(ctx_a, tasks)
 
-        ctx_b = ExplorationJobContext(factory, train, test, config)
-        ctx_b.weight_cache = WeightCache(
-            tmp_path / "b", training_fingerprint(train, config.training)
-        )
-        cache = CellCache(tmp_path / "b", context_fingerprint(ctx_b))
-        stacked, stats = run_stacked_cell_tasks(ctx_b, tasks, stack=3, cache=cache)
+def _weight_context(directory):
+    factory, train, test, config = _grid_fixture()
+    context = ExplorationJobContext(factory, train, test, config)
+    context.weight_cache = WeightCache(
+        directory, training_fingerprint(train, config.training)
+    )
+    return context
 
-        assert stats.start_method == "stacked"
-        assert [cell.stack_size for cell in stacked].count(3) >= 3
-        for expected, got in zip(base, stacked):
-            assert expected == got  # dataclass equality: the science fields
-            assert expected.robustness == got.robustness
+
+RUN_TASKS_MODES = {
+    "jobs2": {"jobs": 2},
+    "shards_merged": {"shards": 3},
+    "stack3": {"stack": 3},
+    "stack3_shards_merged": {"stack": 3, "shards": 3},
+}
+
+
+class TestRunTasksModes:
+    """One grid through every static ``run_tasks`` mode == serial, bitwise.
+
+    Each mode checkpoints into its own cache directory (shards into one
+    directory each, federated by ``merge_cache_dirs``); the cell values,
+    the archived trained weights and a ``--resume`` replay of the merged
+    checkpoints must all equal the serial run's.
+    """
+
+    @pytest.mark.parametrize("mode", sorted(RUN_TASKS_MODES))
+    def test_mode_matches_serial(self, tmp_path, mode):
+        options = dict(RUN_TASKS_MODES[mode])
+        shards = options.pop("shards", 1)
+        stack = options.get("stack", 1)
+        serial_context = _weight_context(tmp_path / "serial")
+        tasks = build_cell_tasks(serial_context.config)
+        serial, _stats = run_tasks(serial_context, tasks, run_cell_task)
+
+        computed: dict[int, object] = {}
+        directories = []
+        for index in range(shards):
+            directory = tmp_path / f"{mode}-{index}"
+            directories.append(directory)
+            context = _weight_context(directory)
+            cache = CellCache(directory, context_fingerprint(context))
+            shard = ShardSpec(index, shards) if shards > 1 else None
+            results, stats = run_tasks(
+                context, tasks, run_cell_task, cache=cache, shard=shard,
+                pending_order=_longest_first, **options,
+            )
+            owned = tasks if shard is None else shard.partition(tasks)
+            computed.update(zip((task.index for task in owned), results))
+            if stack > 1:
+                assert stats.start_method == "stacked"
+        got = [computed[task.index] for task in tasks]
+        for expected, cell in zip(serial, got):
+            assert expected == cell  # dataclass equality: the science fields
+            assert expected.robustness == cell.robustness
+        if stack > 1:
+            # Cost order decides the packing: unsharded, three of the four
+            # cells share one stack; each shard's slice still folds.
+            sizes = [cell.stack_size for cell in got]
+            assert sizes.count(3 if shards == 1 else 2) >= (3 if shards == 1 else 2)
+
+        merged = directories[0]
+        if shards > 1:
+            merged = tmp_path / f"{mode}-merged"
+            merge_cache_dirs(directories, merged)
+        merged_context = _weight_context(merged)
         # Trained weights are the stronger claim: byte-for-byte equal
         # archives, so a later --resume re-sweep is provably unaffected
-        # by how the original run was stacked.
+        # by how the original run was executed.
         for task in tasks:
-            path_a = ctx_a.weight_cache.path_for(task.weight_key, task.cell_seed)
-            path_b = ctx_b.weight_cache.path_for(task.weight_key, task.cell_seed)
+            path_a = serial_context.weight_cache.path_for(task.weight_key, task.cell_seed)
+            path_b = merged_context.weight_cache.path_for(task.weight_key, task.cell_seed)
             assert path_a.is_file() == path_b.is_file()
             if path_a.is_file():
-                got_a = ctx_a.weight_cache.get(task.weight_key, task.cell_seed)
-                got_b = ctx_b.weight_cache.get(task.weight_key, task.cell_seed)
+                got_a = serial_context.weight_cache.get(task.weight_key, task.cell_seed)
+                got_b = merged_context.weight_cache.get(task.weight_key, task.cell_seed)
                 for key in got_a[0]:
                     assert got_a[0][key].tobytes() == got_b[0][key].tobytes()
 
-        # Resume: every cell served from the checkpoint store, bitwise.
-        served, resume_stats = run_stacked_cell_tasks(
-            ctx_b, tasks, stack=3, cache=cache, resume=True
+        # Resume: every cell served from the merged checkpoints, bitwise.
+        cache = CellCache(merged, context_fingerprint(merged_context))
+        served, resume_stats = run_tasks(
+            merged_context, tasks, run_cell_task, cache=cache, resume=True,
+            pending_order=_longest_first, stack=stack,
         )
-        assert served == stacked
+        assert served == serial
         assert resume_stats.cached_cells == len(tasks)
+
+
+class TestStackedEngine:
+    def test_stacked_checkpointing_survives_one_failed_write(self, tmp_path):
+        """A transient cache error gets the same one retry in every mode."""
+        context = _weight_context(tmp_path)
+        tasks = build_cell_tasks(context.config)
+        puts: list[int] = []
+
+        class FlakyOnce(CellCache):
+            def put(self, task, value):
+                puts.append(task.index)
+                if len(puts) == 1:
+                    raise OSError(28, "No space left on device")
+                return super().put(task, value)
+
+        cache = FlakyOnce(tmp_path, context_fingerprint(context))
+        results, _stats = run_tasks(
+            context, tasks, run_cell_task, cache=cache,
+            pending_order=_longest_first, stack=3,
+        )
+        assert max(cell.stack_size for cell in results) == 3
+        for task, cell in zip(tasks, results):
+            assert cache.get(task) == cell
 
     def test_trusted_twin_fallback_is_per_cell(self):
         """One untrusted variant disqualifies only its own cell."""
@@ -378,9 +454,11 @@ class TestStackedEngine:
             return model
 
         ctx_a = ExplorationJobContext(suspicious_factory, train, test, config)
-        base, _stats = run_cell_tasks(ctx_a, tasks)
+        base, _stats = run_tasks(ctx_a, tasks, run_cell_task)
         ctx_b = ExplorationJobContext(suspicious_factory, train, test, config)
-        stacked, _stats = run_stacked_cell_tasks(ctx_b, tasks, stack=4)
+        stacked, _stats = run_tasks(
+            ctx_b, tasks, run_cell_task, pending_order=_longest_first, stack=4
+        )
         for expected, got in zip(base, stacked):
             assert expected == got
         by_cell = {
@@ -404,8 +482,8 @@ class TestStackedEngine:
             return model
 
         tasks = build_cell_tasks(config)
-        base, _stats = run_cell_tasks(
-            ExplorationJobContext(build, train, test, config), tasks
+        base, _stats = run_tasks(
+            ExplorationJobContext(build, train, test, config), tasks, run_cell_task
         )
         calls = []
         forward_logits = VariantStack.forward_logits
@@ -415,8 +493,12 @@ class TestStackedEngine:
             return forward_logits(stack, image)
 
         monkeypatch.setattr(VariantStack, "forward_logits", counting_forward)
-        stacked, _stats = run_stacked_cell_tasks(
-            ExplorationJobContext(build, train, test, config), tasks, stack=2
+        stacked, _stats = run_tasks(
+            ExplorationJobContext(build, train, test, config),
+            tasks,
+            run_cell_task,
+            pending_order=_longest_first,
+            stack=2,
         )
         assert base == stacked
         eval_chunks = -(-len(test) // config.training.eval_batch_size)
@@ -433,8 +515,6 @@ class TestStackedEngine:
         context.weight_cache = WeightCache(
             tmp_path, training_fingerprint(train, config.training)
         )
-        from repro.engine.job import run_cell_task
-
         run_cell_task(context, tasks[0])  # archives this cell's weights
         context.reuse_weights = True
         groups, singles = pack_stacks(context, tasks, stack=2)
