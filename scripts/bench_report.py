@@ -33,8 +33,10 @@ guided-search timings to ``BENCH_pr8.json`` (repo root by default).  ``--check-f
 timing and only runs the smoke guards: the profile's default spiking
 model must take the fused plan path end to end (full synapse-plan
 coverage, forward *and* backward counters advancing, and one
-default-config ``Trainer`` epoch training on the fused BPTT path) — the
-CI job runs this to catch silent fallback regressions.
+default-config ``Trainer`` epoch training on the fused BPTT path without
+a single first-conv input-gradient call, while ``input_gradient`` makes
+at least one) — the CI job runs this to catch silent fallback
+regressions.
 
 ``--check-regression`` measures fresh and compares the *speedup ratios*
 against the committed baseline reports: the planned-fused forward, the
@@ -79,8 +81,10 @@ from repro.engine.job import (  # noqa: E402
 from repro.engine.scheduler import run_tasks  # noqa: E402
 from repro.experiments.profiles import get_profile  # noqa: E402
 from repro.models import build_model  # noqa: E402
+from repro.nn.conv import Conv2d  # noqa: E402
 from repro.robustness.config import ExplorationConfig  # noqa: E402
 from repro.snn.neuron import LIFParameters  # noqa: E402
+from repro.tensor.functional import Conv2dPlan  # noqa: E402
 from repro.tensor.tensor import Tensor, no_grad  # noqa: E402
 from repro.training.trainer import Trainer, TrainingConfig  # noqa: E402
 
@@ -104,6 +108,24 @@ def _build(profile, time_steps: int | None = None):
         time_steps=time_steps or profile.time_steps_default,
         rng=0,
     )
+
+
+def _first_conv_input_gradients(model, run) -> int:
+    """Input-gradient calls of ``model``'s first conv while ``run()`` runs."""
+    calls: list = []
+    original = Conv2dPlan.backward_input
+
+    def counting(plan, *args, **kwargs):
+        calls.append(plan)
+        return original(plan, *args, **kwargs)
+
+    Conv2dPlan.backward_input = counting
+    try:
+        run()
+    finally:
+        Conv2dPlan.backward_input = original
+    plans = list(model.layers[0].transform._plans.values())
+    return sum(plan in plans for plan in calls)
 
 
 def check_fused(profile) -> list[str]:
@@ -133,19 +155,43 @@ def check_fused(profile) -> list[str]:
         )
     else:
         labels = np.zeros(4, dtype=np.int64)
-        input_gradient(model, x.data, labels)
+        if type(model.layers[0].transform) is not Conv2d:
+            errors.append(
+                f"{profile.snn_model}: first synaptic transform is not a Conv2d, "
+                "so its input-gradient calls cannot be counted"
+            )
+            return errors
+        attack_calls = _first_conv_input_gradients(
+            model, lambda: input_gradient(model, x.data, labels)
+        )
         if model.fused_backward_count != 1:
             errors.append(
                 f"{profile.snn_model}: input_gradient did not take the fused "
                 f"BPTT path (fused_backward_count={model.fused_backward_count})"
             )
+        if attack_calls < 1:
+            errors.append(
+                f"{profile.snn_model}: input_gradient made no first-conv "
+                "input-gradient call; attacks need the image gradient"
+            )
         # One default-config training epoch: the 4 samples are one batch.
         trained = _build(profile)
-        Trainer(trained, TrainingConfig(epochs=1)).fit(ArrayDataset(x.data, labels))
+        training_calls = _first_conv_input_gradients(
+            trained,
+            lambda: Trainer(trained, TrainingConfig(epochs=1)).fit(
+                ArrayDataset(x.data, labels)
+            ),
+        )
         if trained.fused_backward_count != 1:
             errors.append(
                 f"{profile.snn_model}: a default Trainer epoch did not take the "
                 f"fused BPTT path (fused_backward_count={trained.fused_backward_count})"
+            )
+        if training_calls:
+            errors.append(
+                f"{profile.snn_model}: a default Trainer epoch made "
+                f"{training_calls} first-conv input-gradient call(s); "
+                "training never reads the image gradient"
             )
     return errors
 

@@ -35,6 +35,11 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+HOLD_TASK = 0
+"""Task whose phase the SIGTERM leg holds open (``REPRO_CHAOS_HOLD_TASK``)
+until it is handed off, so the victim is always mid-phase, however fast
+the cells run."""
+
 
 def worker_env(worker_id: str, chaos: dict[str, str]) -> dict:
     env = dict(os.environ)
@@ -89,7 +94,8 @@ def spawn_worker(args, worker_id: str, chaos: dict[str, str]) -> subprocess.Pope
 
 
 def wait_for_lease(
-    queue_dir: Path, timeout: float, held_for: float = 0.0
+    queue_dir: Path, timeout: float, held_for: float = 0.0,
+    pattern: str = "lease_*.json",
 ) -> tuple[Path, str] | None:
     """Block until a parseable lease appears; return it with its owner.
 
@@ -102,12 +108,13 @@ def wait_for_lease(
     attempts release their lease within milliseconds; a lease still held
     after the grace period belongs to a worker genuinely inside its
     phase, which is what graceful retirement needs to interrupt.
+    ``pattern`` narrows the wait to matching lease files.
     """
     import json
 
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        for path in sorted(queue_dir.glob("lease_*.json")):
+        for path in sorted(queue_dir.glob(pattern)):
             try:
                 payload = json.loads(path.read_text())
             except (OSError, ValueError):
@@ -205,6 +212,8 @@ def main() -> int:
         )
 
     chaos = chaos_env(args)
+    if args.retire_worker == "sigterm":
+        chaos["REPRO_CHAOS_HOLD_TASK"] = f"{HOLD_TASK}:{args.timeout}"
     grid_queue = args.queue / "grid"
     workers: list[subprocess.Popen] = []
     worker_ids = [f"fleet-worker-{number}" for number in range(args.workers)]
@@ -217,9 +226,11 @@ def main() -> int:
     victim_index: int | None = None
     try:
         if args.retire_worker != "none":
-            held_for = 0.35 if args.retire_worker == "sigterm" else 0.0
+            sigterm = args.retire_worker == "sigterm"
             found = wait_for_lease(
-                grid_queue, timeout=args.timeout, held_for=held_for
+                grid_queue, timeout=args.timeout,
+                held_for=0.35 if sigterm else 0.0,
+                pattern=f"lease_{HOLD_TASK}.json" if sigterm else "lease_*.json",
             )
             if found is None:
                 print("[fleet] no lease ever appeared; nothing to retire",
@@ -237,9 +248,10 @@ def main() -> int:
                     victim.kill()
                     victim.wait()
                 else:
-                    # The held_for grace above means the victim is inside
-                    # its training phase, so the drain handler fires
-                    # mid-task — the interesting case — not between claims.
+                    # The held task and the held_for grace above mean the
+                    # victim is inside its phase, so the drain handler
+                    # fires mid-task — the interesting case — not between
+                    # claims.
                     print(f"[fleet] SIGTERM worker {victim_index} "
                           f"(pid {victim.pid}) while it holds {lease.name}")
                     victim.send_signal(signal.SIGTERM)

@@ -104,6 +104,7 @@ class SyntheticMNIST:
         self.config.validate()
         self._seeds = SeedSequence(seed)
         self._glyphs = all_glyphs()
+        self._canvases: dict[int, np.ndarray] = {}
 
     def generate(self, num_samples: int, split: str = "train") -> ArrayDataset:
         """Render ``num_samples`` images for ``split`` ("train"/"test"/...).
@@ -142,7 +143,19 @@ class SyntheticMNIST:
         return np.clip(canvas, 0.0, 1.0).astype(np.float32)
 
     def _place_glyph(self, digit: int) -> np.ndarray:
-        """Zoom the 5x7 glyph onto the centre of the canvas."""
+        """Zoom the 5x7 glyph onto the centre of the canvas.
+
+        The canvas depends only on the config and the digit, so each is
+        rendered once per generator and shared, read-only, by every
+        sample (the distortion steps all return new arrays).
+        """
+        canvas = self._canvases.get(digit)
+        if canvas is None:
+            canvas = self._canvases[digit] = self._zoom_glyph(digit)
+            canvas.flags.writeable = False
+        return canvas
+
+    def _zoom_glyph(self, digit: int) -> np.ndarray:
         cfg = self.config
         glyph = self._glyphs[digit]
         target_h = max(6, int(round(cfg.image_size * cfg.glyph_fill)))

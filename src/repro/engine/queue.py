@@ -882,6 +882,9 @@ def run_queued_tasks(
         watchdog.start()
     drain = DrainGuard().install()
 
+    def handed_off(index: int) -> bool:
+        return ledger.handoff_path(index).exists()
+
     def execute(group_tasks: list, runner: Callable[[], list]) -> None:
         """Run one claimed group under supervision.
 
@@ -909,6 +912,8 @@ def run_queued_tasks(
                 watchdog.arm(key, threading.get_ident(), deadline)
             try:
                 with drain.task_region():
+                    for task in group_tasks:
+                        chaos.maybe_hold(task.index, handed_off)
                     results = runner()
             finally:
                 if deadline is not None:

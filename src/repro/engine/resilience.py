@@ -48,6 +48,7 @@ this module sits below every other engine layer.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import signal
@@ -97,6 +98,7 @@ CHAOS_FAIL_RATE_ENV = "REPRO_CHAOS_FAIL_RATE"
 CHAOS_CORRUPT_RATE_ENV = "REPRO_CHAOS_CORRUPT_RATE"
 CHAOS_POISON_ENV = "REPRO_CHAOS_POISON_TASKS"
 CHAOS_SEED_ENV = "REPRO_CHAOS_SEED"
+CHAOS_HOLD_ENV = "REPRO_CHAOS_HOLD_TASK"
 
 
 class TaskTimeout(Exception):
@@ -572,12 +574,18 @@ class ChaosConfig:
     * ``REPRO_CHAOS_SEED`` — the seed behind both rate draws; per-task
       draws are pure functions of ``(seed, task index)``, identical in
       every worker, so which tasks fail is reproducible fleet-wide.
+    * ``REPRO_CHAOS_HOLD_TASK`` — ``INDEX:SECONDS``: task ``INDEX``'s
+      phase stays open for ``SECONDS`` before its work starts, until a
+      retiring worker has handed it off once.  A graceful-retirement test
+      waits for that lease, so its victim is always mid-phase.
     """
 
     fail_rate: float = 0.0
     corrupt_rate: float = 0.0
     poison: frozenset[int] = frozenset()
     seed: int = 0
+    hold_task: int | None = None
+    hold_seconds: float = 0.0
 
     @classmethod
     def from_env(cls, environ=None) -> "ChaosConfig":
@@ -601,11 +609,21 @@ class ChaosConfig:
             seed = int(environ.get(CHAOS_SEED_ENV, "") or 0)
         except ValueError:
             seed = 0
+        hold_task: int | None = None
+        hold_seconds = 0.0
+        index, _, seconds = str(environ.get(CHAOS_HOLD_ENV, "")).partition(":")
+        try:
+            if math.isfinite(float(seconds)):
+                hold_task, hold_seconds = int(index), max(0.0, float(seconds))
+        except ValueError:
+            pass
         return cls(
             fail_rate=rate(CHAOS_FAIL_RATE_ENV),
             corrupt_rate=rate(CHAOS_CORRUPT_RATE_ENV),
             poison=frozenset(poison),
             seed=seed,
+            hold_task=hold_task,
+            hold_seconds=hold_seconds,
         )
 
     @property
@@ -628,6 +646,18 @@ class ChaosConfig:
             raise ChaosFailure(
                 f"injected {kind} failure (task {index}, attempt {attempt})"
             )
+
+    def maybe_hold(self, index: int, handed_off: Callable[[int], bool]) -> None:
+        """Keep the held task's phase open (call inside the task region).
+
+        A drain signal interrupts the sleep with :class:`WorkerRetired`
+        like any other phase work; once ``handed_off(index)`` holds, the
+        task runs straight through, so only the first claim waits.
+        """
+        if self.hold_task is None or int(index) != self.hold_task:
+            return
+        if not handed_off(self.hold_task):
+            time.sleep(self.hold_seconds)
 
     def should_corrupt(self, index: int, attempt: int) -> bool:
         if self.corrupt_rate <= 0 or attempt != 1:

@@ -101,8 +101,12 @@ class Conv2d(Module):
         return plan(x, self.weight.data, bias), (x, plan)
 
     def backward_numpy(
-        self, g: np.ndarray, ctx: object, param_sink: list | None = None
-    ) -> np.ndarray:
+        self,
+        g: np.ndarray,
+        ctx: object,
+        param_sink: list | None = None,
+        want_input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Graph-free backward twin: plan-backed col2im input gradient.
 
         Mirrors :func:`repro.tensor.functional.conv2d`'s backward closure
@@ -110,16 +114,24 @@ class Conv2d(Module):
         sum) are only paid for when ``param_sink`` is given — attack
         crafting needs input gradients alone, which skips both parameter
         GEMMs per time step; the sink lets the caller fold contributions
-        in the autograd path's accumulation order.
+        in the autograd path's accumulation order.  Without
+        ``want_input_grad`` (a training step's first layer) the input
+        gradient's GEMM and col2im are skipped and ``None`` is returned.
+        Both GEMMs read one output-gradient matrix.
         """
         x, plan = ctx
+        if param_sink is None and not want_input_grad:
+            return None
+        g_mat = plan.grad_as_matrix(g)
         if param_sink is not None:
             param_sink.append(
-                (self.weight, plan.backward_weight(g, x, self.weight.shape))
+                (self.weight, plan.backward_weight(g, x, self.weight.shape, g_mat))
             )
             if self.bias is not None:
                 param_sink.append((self.bias, plan.backward_bias(g)))
-        return plan.backward_input(g, self.weight.data)
+        if not want_input_grad:
+            return None
+        return plan.backward_input(g, self.weight.data, g_mat)
 
     def __repr__(self) -> str:
         return (

@@ -95,8 +95,12 @@ class Linear(Module):
         return self.forward_numpy(x), x
 
     def backward_numpy(
-        self, g: np.ndarray, ctx: object, param_sink: list | None = None
-    ) -> np.ndarray:
+        self,
+        g: np.ndarray,
+        ctx: object,
+        param_sink: list | None = None,
+        want_input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Graph-free backward twin: input (and optionally weight) gradients.
 
         Performs the exact arithmetic the autograd path's matmul/add
@@ -105,14 +109,16 @@ class Linear(Module):
         bitwise identical.  With ``param_sink``, ``(param, grad)`` pairs
         are appended for the caller to fold in the autograd path's
         accumulation order (see :mod:`repro.snn.backward`); without it the
-        weight-gradient GEMM is skipped entirely.
+        weight-gradient GEMM is skipped entirely; without
+        ``want_input_grad`` the input-gradient GEMM is, and ``None`` is
+        returned.
         """
         x: np.ndarray = ctx
         if param_sink is not None:
             param_sink.append((self.weight, (x.T @ g).transpose()))
             if self.bias is not None:
                 param_sink.append((self.bias, g.sum(axis=0)))
-        return g @ self.weight.data
+        return g @ self.weight.data if want_input_grad else None
 
     def __repr__(self) -> str:
         return (

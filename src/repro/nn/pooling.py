@@ -48,9 +48,15 @@ class MaxPool2d(Module):
         return out, (x, out, plan)
 
     def backward_numpy(
-        self, g: np.ndarray, ctx: object, param_sink: list | None = None
-    ) -> np.ndarray:
+        self,
+        g: np.ndarray,
+        ctx: object,
+        param_sink: list | None = None,
+        want_input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Graph-free backward twin (first-claim max routing)."""
+        if not want_input_grad:
+            return None
         x, out, plan = ctx
         return plan.backward(g, x, out)
 
@@ -91,9 +97,15 @@ class AvgPool2d(Module):
         return plan(x), (plan, x.dtype)
 
     def backward_numpy(
-        self, g: np.ndarray, ctx: object, param_sink: list | None = None
-    ) -> np.ndarray:
+        self,
+        g: np.ndarray,
+        ctx: object,
+        param_sink: list | None = None,
+        want_input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Graph-free backward twin (uniform window spread)."""
+        if not want_input_grad:
+            return None
         plan, dtype = ctx
         return plan.backward(g, dtype)
 

@@ -76,7 +76,9 @@ class _TransformOp:
     """Resolved record/backward pair of one synaptic transform."""
 
     record: Callable[[np.ndarray], tuple[np.ndarray, object]]
-    backward: Callable[[np.ndarray, object, bool], np.ndarray]
+    backward: Callable[[np.ndarray, object, list | None, bool], np.ndarray | None]
+    """``backward(g, ctx, param_sink, want_input_grad)``; ``None`` back
+    when the input gradient is not wanted (the twin path skips it)."""
     planned: bool
     """Whether the twin path (rather than the mini-graph fallback) runs."""
 
@@ -90,7 +92,8 @@ def _fallback_op(transform: Module) -> _TransformOp:
     match bitwise.  Parameter gradients are harvested out of the local
     graph into the caller's sink (and ``param.grad`` restored), so the
     fused backward accumulates them in its controlled order and attack
-    crafting stays free of parameter side effects.
+    crafting stays free of parameter side effects.  The local graph always
+    produces the input gradient, so ``want_input_grad`` is ignored.
     """
     parameters = list(transform.parameters())
 
@@ -99,7 +102,9 @@ def _fallback_op(transform: Module) -> _TransformOp:
         out = transform(leaf)
         return out.data, (leaf, out)
 
-    def backward(g: np.ndarray, ctx: object, param_sink: list | None) -> np.ndarray:
+    def backward(
+        g: np.ndarray, ctx: object, param_sink: list | None, want_input_grad: bool
+    ) -> np.ndarray:
         leaf, out = ctx
         saved = [(parameter, parameter.grad) for parameter in parameters]
         for parameter in parameters:
@@ -237,7 +242,9 @@ def backward_pass(
         off for attack crafting, which skips every weight-gradient GEMM.
     want_input_grad:
         Accumulate and return the input-pixel gradient; ``None`` is
-        returned when disabled (pure training updates).
+        returned when disabled (pure training updates), and the stage
+        reading the encoder's spikes then skips its transform's input
+        gradient too (for a conv, its grad-column GEMM and col2im).
 
     The reverse loop visits time steps in descending order and, within a
     step, the readout first and then the spiking layers deepest-first —
@@ -292,7 +299,16 @@ def backward_pass(
         # never visits, so skipping reproduces its work (and None-grads)
         # precisely while saving the whole dead wavefront.
         if t <= t_head - 1:
-            g = tape.readout_op.backward(g_current, tape.readout_ctxs[t], param_sink)
+            # The stage that reads the encoder's spikes (the first layer,
+            # or the readout of a layerless network) hands nothing on
+            # unless the image gradient is wanted, so its transform skips
+            # the input gradient then.
+            g = tape.readout_op.backward(
+                g_current,
+                tape.readout_ctxs[t],
+                param_sink,
+                want_input_grad or depth > 0,
+            )
             for index in reversed(range(depth)):
                 remaining = depth - index
                 if t > t_head - remaining:
@@ -303,7 +319,10 @@ def backward_pass(
                 if t > t_head - 1 - remaining:
                     break
                 g = tape.layer_ops[index].backward(
-                    g_current, tape.layer_transform_ctxs[index][t], param_sink
+                    g_current,
+                    tape.layer_transform_ctxs[index][t],
+                    param_sink,
+                    want_input_grad or index > 0,
                 )
             else:
                 # Reached only when every stage above ran, i.e. the

@@ -220,15 +220,23 @@ class LIFCell(Module):
         else:
             i_prev, v_prev = state
         scale, v_leak, v_th, one, v_reset, reset_drop, decay = _promoted_constants(self)
-        dv = scale * ((v_leak - v_prev) + i_prev)
-        v_decayed = v_prev + dv
-        x = v_decayed - v_th
-        spikes = (x > 0).astype(x.dtype)
+        # The decayed membrane is formed and reset inside the ``v_new``
+        # buffer, and one scratch takes ``x`` and then each reset term:
+        # the same products and sums (IEEE multiplication and addition
+        # commute), without a temporary per operator.
+        v_new = v_leak - v_prev
+        v_new += i_prev
+        v_new *= scale
+        v_new += v_prev
+        scratch = v_new - v_th
+        spikes = np.greater(scratch, 0).astype(scratch.dtype)
         if self.params.reset_mode == "hard":
-            v_new = v_decayed * (one - spikes) + v_reset * spikes
+            v_new *= np.subtract(one, spikes, out=scratch)
+            v_new += np.multiply(spikes, v_reset, out=scratch)
         else:
-            v_new = v_decayed - spikes * reset_drop
-        i_new = i_prev * decay + input_current
+            v_new -= np.multiply(spikes, reset_drop, out=scratch)
+        i_new = i_prev * decay
+        i_new += input_current
         return spikes, (i_new, v_new)
 
     def step_record_numpy(
@@ -249,18 +257,17 @@ class LIFCell(Module):
         else:
             i_prev, v_prev = state
         scale, v_leak, v_th, one, v_reset, reset_drop, decay = _promoted_constants(self)
-        # Same arithmetic as :meth:`step_numpy`, staged through reused
-        # scratch (`out=`) so the T-step recording loop allocates as few
-        # arrays as the state it must keep.
-        dv = v_leak - v_prev
-        dv += i_prev
-        dv *= scale
-        v_decayed = v_prev + dv
+        # Same arithmetic as :meth:`step_numpy`, staged in place so the
+        # T-step recording loop allocates little beyond the state it must
+        # keep (``v_decayed`` is ``dv + v_prev``; IEEE addition commutes).
+        v_decayed = v_leak - v_prev
+        v_decayed += i_prev
+        v_decayed *= scale
+        v_decayed += v_prev
         x = v_decayed - v_th
-        fired = x > 0
-        spikes = fired.astype(x.dtype)
+        spikes = np.greater(x, 0).astype(x.dtype)
         if self.params.reset_mode == "hard":
-            v_new = np.subtract(one, fired, dtype=x.dtype)
+            v_new = np.subtract(one, spikes, dtype=x.dtype)
             v_new *= v_decayed
             if v_reset != 0.0:
                 v_new += v_reset * spikes
@@ -311,7 +318,10 @@ class LIFCell(Module):
         # ``a + -(b)`` chains fused into ``a - b``, exact-zero products
         # (v_reset=0) dropped, and temporaries reused in place — all
         # IEEE-identical transformations, so gradients match the autograd
-        # path value for value.
+        # path value for value.  Every operand has ``x``'s dtype (the
+        # promoted constants are float32 0-d arrays, which never widen a
+        # float32 or float64 array), so the dead ``g_x`` and
+        # ``derivative`` buffers can take the last two products.
         if p.reset_mode == "hard":
             g_x = gv * v_decayed
             if v_reset != 0.0:
@@ -327,9 +337,9 @@ class LIFCell(Module):
             np.subtract(g_spikes, g_x, out=g_x)
             g_x *= derivative
             g_vd = gv + g_x
-        g_add1 = g_vd * scale
+        g_add1 = np.multiply(g_vd, scale, out=g_x)
         g_v_prev = np.subtract(g_vd, g_add1, out=g_vd)
-        g_i_prev = gi * decay
+        g_i_prev = np.multiply(gi, decay, out=derivative)
         g_i_prev += g_add1
         return gi, (g_i_prev, g_v_prev)
 

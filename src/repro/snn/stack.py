@@ -157,15 +157,21 @@ class StackedLIFCell:
         scale = self.scale.for_array(input_current)
         v_leak = self.v_leak.for_array(input_current)
         v_th = self.v_th.for_array(input_current)
-        dv = scale * ((v_leak - v_prev) + i_prev)
-        v_decayed = v_prev + dv
-        x = v_decayed - v_th
-        spikes = (x > 0).astype(x.dtype)
+        v_new = v_leak - v_prev
+        v_new += i_prev
+        v_new *= scale
+        v_new += v_prev
+        scratch = v_new - v_th
+        spikes = np.greater(scratch, 0).astype(scratch.dtype)
         if self.reset_mode == "hard":
-            v_new = v_decayed * (self.one - spikes) + self.v_reset * spikes
+            v_new *= np.subtract(self.one, spikes, out=scratch)
+            v_new += np.multiply(spikes, self.v_reset, out=scratch)
         else:
-            v_new = v_decayed - spikes * self.reset_drop.for_array(input_current)
-        i_new = i_prev * self.decay.for_array(input_current) + input_current
+            v_new -= np.multiply(
+                spikes, self.reset_drop.for_array(input_current), out=scratch
+            )
+        i_new = i_prev * self.decay.for_array(input_current)
+        i_new += input_current
         return spikes, (i_new, v_new)
 
     def step_record_numpy(self, input_current, state=None):
@@ -178,15 +184,14 @@ class StackedLIFCell:
         scale = self.scale.for_array(input_current)
         v_leak = self.v_leak.for_array(input_current)
         v_th = self.v_th.for_array(input_current)
-        dv = v_leak - v_prev
-        dv += i_prev
-        dv *= scale
-        v_decayed = v_prev + dv
+        v_decayed = v_leak - v_prev
+        v_decayed += i_prev
+        v_decayed *= scale
+        v_decayed += v_prev
         x = v_decayed - v_th
-        fired = x > 0
-        spikes = fired.astype(x.dtype)
+        spikes = np.greater(x, 0).astype(x.dtype)
         if self.reset_mode == "hard":
-            v_new = np.subtract(self.one, fired, dtype=x.dtype)
+            v_new = np.subtract(self.one, spikes, dtype=x.dtype)
             v_new *= v_decayed
             if self._v_reset_value != 0.0:
                 v_new += self.v_reset * spikes
@@ -224,9 +229,9 @@ class StackedLIFCell:
             np.subtract(g_spikes, g_x, out=g_x)
             g_x *= derivative
             g_vd = gv + g_x
-        g_add1 = g_vd * scale
+        g_add1 = np.multiply(g_vd, scale, out=g_x)
         g_v_prev = np.subtract(g_vd, g_add1, out=g_vd)
-        g_i_prev = gi * decay
+        g_i_prev = np.multiply(gi, decay, out=derivative)
         g_i_prev += g_add1
         return gi, (g_i_prev, g_v_prev)
 
@@ -298,12 +303,16 @@ class _StackedConv:
         plan = self.convs[0]._plan_for(x)
         return plan.stacked(x, self._weights(), self._biases(), alive), (x, plan)
 
-    def backward(self, g, ctx, sinks, alive):
+    def backward(self, g, ctx, sinks, alive, want_input_grad=True):
         x, plan = ctx
-        if sinks is not None and any(sink is not None for sink in sinks):
+        collect = sinks is not None and any(sink is not None for sink in sinks)
+        if not (collect or want_input_grad):
+            return None
+        g_mat = plan.grad_as_matrix(g)
+        if collect:
             wanted = [sink is not None for sink in sinks]
             grads = plan.stacked_backward_weights(
-                g, x, self.convs[0].weight.shape, wanted
+                g, x, self.convs[0].weight.shape, wanted, g_mat
             )
             n = g.shape[0] // len(self.convs)
             for lane, conv in enumerate(self.convs):
@@ -314,7 +323,9 @@ class _StackedConv:
                 if conv.bias is not None:
                     block = g[lane * n : (lane + 1) * n]
                     sink.append((conv.bias, block.sum(axis=(0, 2, 3))))
-        return plan.stacked_backward_input(g, self._weights(), alive)
+        if not want_input_grad:
+            return None
+        return plan.stacked_backward_input(g, self._weights(), alive, g_mat)
 
 
 class _StackedLinear:
@@ -343,12 +354,14 @@ class _StackedLinear:
     def record(self, x, alive):
         return self.forward(x, alive), x
 
-    def backward(self, g, ctx, sinks, alive):
+    def backward(self, g, ctx, sinks, alive, want_input_grad=True):
         x = ctx
         k = len(self.linears)
         n = g.shape[0] // k
-        g_in = np.empty(
-            (g.shape[0], self.linears[0].weight.data.shape[1]), dtype=g.dtype
+        g_in = (
+            np.empty((g.shape[0], self.linears[0].weight.data.shape[1]), dtype=g.dtype)
+            if want_input_grad
+            else None
         )
         for lane, linear in enumerate(self.linears):
             rows = slice(lane * n, (lane + 1) * n)
@@ -357,6 +370,8 @@ class _StackedLinear:
                 sink.append((linear.weight, (x[rows].T @ g[rows]).transpose()))
                 if linear.bias is not None:
                     sink.append((linear.bias, g[rows].sum(axis=0)))
+            if g_in is None:
+                continue
             if alive is not None and not alive[lane]:
                 g_in[rows] = 0.0
                 continue
@@ -381,8 +396,8 @@ class _StackedLaneLocal:
     def record(self, x, alive):
         return self.module.forward_record_numpy(x)
 
-    def backward(self, g, ctx, sinks, alive):
-        return self.module.backward_numpy(g, ctx, None)
+    def backward(self, g, ctx, sinks, alive, want_input_grad=True):
+        return self.module.backward_numpy(g, ctx, None, want_input_grad)
 
 
 class _StackedSequential:
@@ -403,9 +418,11 @@ class _StackedSequential:
             contexts.append(ctx)
         return x, contexts
 
-    def backward(self, g, ctx, sinks, alive):
-        for stage, stage_ctx in zip(reversed(self.stages), reversed(ctx)):
-            g = stage.backward(g, stage_ctx, sinks, alive)
+    def backward(self, g, ctx, sinks, alive, want_input_grad=True):
+        for index in reversed(range(len(self.stages))):
+            g = self.stages[index].backward(
+                g, ctx[index], sinks, alive, want_input_grad or index > 0
+            )
         return g
 
 
@@ -867,6 +884,7 @@ class VariantStack:
                     tape.readout_ctxs[t],
                     _gate(step_sinks, alive),
                     alive,
+                    want_input_grad or depth > 0,
                 )
                 for index in reversed(range(depth)):
                     remaining = depth - index
@@ -887,6 +905,7 @@ class VariantStack:
                         tape.layer_transform_ctxs[index][t],
                         _gate(step_sinks, alive),
                         alive,
+                        want_input_grad or index > 0,
                     )
                 else:
                     if want_input_grad:

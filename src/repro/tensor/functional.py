@@ -421,7 +421,20 @@ class Conv2dPlan:
         )
         self._cols = self._cols6d.reshape(n * self.oh * self.ow, c_in * kh * kw)
         self._grad_staging: np.ndarray | None = None
-        self._stacked_out: np.ndarray | None = None
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def _buffer(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A GEMM output array reused across calls.
+
+        Every caller consumes its buffer before returning, so reuse adds
+        no state across time steps — it only spares the per-call
+        allocation, whose page faults cost more than the arithmetic at
+        the larger column shapes.
+        """
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.shape != shape or buffer.dtype != dtype:
+            buffer = self._buffers[name] = np.empty(shape, dtype=dtype)
+        return buffer
 
     def _fill_cols(self, x: np.ndarray) -> None:
         """im2col: copy the ``(kh, kw)`` windows of ``x`` into the columns."""
@@ -460,45 +473,75 @@ class Conv2dPlan:
     def __call__(
         self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
     ) -> np.ndarray:
+        """Forward: im2col, one GEMM, then the NCHW epilogue.
+
+        The bias is added after the NCHW transpose, in place over
+        channel-contiguous rows: the same float adds as ``gemm + bias``
+        (the result keeps that sum's dtype), without a pass over the
+        narrow ``(rows, C_out)`` GEMM output.
+        """
         self._fill_cols(x)
         w_mat = weight.reshape(weight.shape[0], -1)
         out = self._cols @ w_mat.T
-        if bias is not None:
-            out = out + bias
-        return np.ascontiguousarray(
+        result = np.ascontiguousarray(
             out.reshape(self.shape[0], self.oh, self.ow, -1).transpose(0, 3, 1, 2)
         )
+        if bias is None:
+            return result
+        if np.result_type(result, bias) != result.dtype:
+            return result + bias[:, None, None]
+        result += bias[:, None, None]
+        return result
 
-    def _grad_as_matrix(self, g: np.ndarray) -> np.ndarray:
-        """Output gradient ``(N, C_out, OH, OW)`` as the matmul layout."""
+    def grad_as_matrix(self, g: np.ndarray) -> np.ndarray:
+        """Output gradient ``(N, C_out, OH, OW)`` in the GEMM layout (a copy).
+
+        One conv backward step makes it once and hands it to both
+        :meth:`backward_weight` and :meth:`backward_input` (their
+        ``g_mat`` argument).
+        """
         return g.transpose(0, 2, 3, 1).reshape(
             self.shape[0] * self.oh * self.ow, -1
         )
 
-    def backward_input(self, g: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    def backward_input(
+        self, g: np.ndarray, weight: np.ndarray, g_mat: np.ndarray | None = None
+    ) -> np.ndarray:
         """Gradient w.r.t. the input: the col2im scatter of :func:`conv2d`.
 
         Performs the exact arithmetic of the Tensor op's backward closure
         (grad-column matmul, per-offset strided accumulation, padding
-        crop), reusing a zeroed scratch instead of allocating one per
-        call.  The returned array is freshly allocated (safe to retain
+        crop), reusing scratch buffers instead of allocating them per
+        call.  ``g_mat`` is ``grad_as_matrix(g)`` when the caller already
+        has it.  The returned array is freshly allocated (safe to retain
         across reverse time steps).
         """
+        if g_mat is None:
+            g_mat = self.grad_as_matrix(g)
         w_mat = weight.reshape(weight.shape[0], -1)
-        return self._col2im(self._grad_as_matrix(g) @ w_mat)
+        grad_cols = self._buffer(
+            "grad_cols", (g_mat.shape[0], w_mat.shape[1]), np.result_type(g_mat, w_mat)
+        )
+        return self._col2im(np.matmul(g_mat, w_mat, out=grad_cols))
 
     def backward_weight(
-        self, g: np.ndarray, x: np.ndarray, weight_shape: tuple[int, ...]
+        self,
+        g: np.ndarray,
+        x: np.ndarray,
+        weight_shape: tuple[int, ...],
+        g_mat: np.ndarray | None = None,
     ) -> np.ndarray:
         """Gradient w.r.t. the filters, recomputing im2col from ``x``.
 
         The im2col pass is pure data movement, so the recomputed columns
         equal the forward's bit for bit and ``g_mat.T @ cols`` matches the
         autograd closure exactly.  Reuses the plan's column scratch — call
-        only after the forward pass is complete.
+        only after the forward pass is complete.  ``g_mat`` is
+        ``grad_as_matrix(g)`` when the caller already has it.
         """
         self._fill_cols(x)
-        g_mat = self._grad_as_matrix(g)
+        if g_mat is None:
+            g_mat = self.grad_as_matrix(g)
         return (g_mat.T @ self._cols).reshape(weight_shape)
 
     @staticmethod
@@ -550,11 +593,7 @@ class Conv2dPlan:
         k = len(weights)
         rows = self.lane_rows(k)
         self._fill_cols(x)
-        out = self._stacked_out
-        if out is None:
-            out = self._stacked_out = np.empty(
-                (n * self.oh * self.ow, self.c_out), dtype=self.dtype
-            )
+        out = self._buffer("out", (n * self.oh * self.ow, self.c_out), self.dtype)
         for lane in range(k):
             block = slice(lane * rows, (lane + 1) * rows)
             if alive is not None and not alive[lane]:
@@ -574,18 +613,22 @@ class Conv2dPlan:
         g: np.ndarray,
         weights: list[np.ndarray],
         alive: list[bool] | None = None,
+        g_mat: np.ndarray | None = None,
     ) -> np.ndarray:
         """Input gradient for K weight sets over a lane-folded batch.
 
-        Per-variant grad-column GEMMs feed one fold-wide col2im scatter
-        (the scatter is lane-local data movement, so folding it is exact).
+        Per-variant grad-column GEMMs write their row blocks of one reused
+        scratch, which feeds one fold-wide col2im scatter (the scatter is
+        lane-local data movement, so folding it is exact).  ``g_mat`` is
+        ``grad_as_matrix(g)`` when the caller already has it.
         """
         n, c_in = self.shape[:2]
         k = len(weights)
         rows = self.lane_rows(k)
-        g_mat = self._grad_as_matrix(g)
-        grad_cols = np.empty(
-            (n * self.oh * self.ow, c_in * self.kh * self.kw), dtype=self.dtype
+        if g_mat is None:
+            g_mat = self.grad_as_matrix(g)
+        grad_cols = self._buffer(
+            "grad_cols", (n * self.oh * self.ow, c_in * self.kh * self.kw), self.dtype
         )
         for lane in range(k):
             block = slice(lane * rows, (lane + 1) * rows)
@@ -593,7 +636,7 @@ class Conv2dPlan:
                 grad_cols[block] = 0.0
                 continue
             w_mat = weights[lane].reshape(weights[lane].shape[0], -1)
-            grad_cols[block] = g_mat[block] @ w_mat
+            np.matmul(g_mat[block], w_mat, out=grad_cols[block])
         return self._col2im(grad_cols)
 
     def stacked_backward_weights(
@@ -602,18 +645,21 @@ class Conv2dPlan:
         x: np.ndarray,
         weight_shape: tuple[int, ...],
         wanted: list[bool],
+        g_mat: np.ndarray | None = None,
     ) -> list[np.ndarray | None]:
         """Per-variant filter gradients over a lane-folded batch.
 
         One im2col refill from the recorded folded input serves every
         variant's ``g.T @ cols`` GEMM; ``wanted[lane]`` gates lanes whose
         parameters are structurally dead at this step (``None`` entries
-        keep the autograd path's grad-never-touched semantics).
+        keep the autograd path's grad-never-touched semantics).  ``g_mat``
+        is ``grad_as_matrix(g)`` when the caller already has it.
         """
         k = len(wanted)
         rows = self.lane_rows(k)
         self._fill_cols(x)
-        g_mat = self._grad_as_matrix(g)
+        if g_mat is None:
+            g_mat = self.grad_as_matrix(g)
         grads: list[np.ndarray | None] = []
         for lane in range(k):
             if not wanted[lane]:
@@ -711,15 +757,17 @@ class MaxPool2dPlan(_Pool2dPlan):
                 grad_x = np.empty(self.shape, dtype=x.dtype)
             else:
                 grad_x = np.zeros(self.shape, dtype=x.dtype)
+            # ``is_max > claimed`` is ``is_max & ~claimed`` on bools.
             claimed = np.empty(out.shape, dtype=bool)
-            for k, (rows, cols) in enumerate(self._slices):
-                is_max = x[:, :, rows, cols] == out
-                if k:
-                    is_max &= ~claimed
-                    claimed |= is_max
-                else:
-                    np.copyto(claimed, is_max)
-                grad_x[:, :, rows, cols] = g * is_max
+            is_max = np.empty(out.shape, dtype=bool)
+            (rows, cols), *rest = self._slices
+            np.equal(x[:, :, rows, cols], out, out=claimed)
+            np.multiply(g, claimed, out=grad_x[:, :, rows, cols])
+            for rows, cols in rest:
+                np.equal(x[:, :, rows, cols], out, out=is_max)
+                np.greater(is_max, claimed, out=is_max)
+                claimed |= is_max
+                np.multiply(g, is_max, out=grad_x[:, :, rows, cols])
             return grad_x
         windows = self._windows(x)
         arg = windows.reshape(n, c, self.oh, self.ow, self.kh * self.kw).argmax(axis=-1)

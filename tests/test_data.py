@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,27 @@ class TestSyntheticMNIST:
         gen = SyntheticMNIST(SynthConfig(image_size=28), seed=0)
         data = gen.generate(10)
         assert data.images.shape == (10, 1, 28, 28)
+
+    @pytest.mark.parametrize(
+        "image_size, digest",
+        [
+            (16, "d14659d951fb45dcdaf3e31e2ef35fa1b3a6dcf328d2e8bd6322212568af01fc"),
+            (12, "7a8cf9e289cdf96c8a835e08d8308ecdd419c624853b9ac192b54ecdedf22c2c"),
+        ],
+    )
+    def test_generated_bytes_are_pinned(self, image_size, digest):
+        # Every cached result and benchmark reference depends on these
+        # bytes; speed-ups to the generator must not move them.
+        gen = SyntheticMNIST(SynthConfig(image_size=image_size), seed=0)
+        data = gen.generate(50, "train")
+        payload = data.images.tobytes() + data.labels.tobytes()
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+    def test_glyph_canvases_are_cached_read_only(self):
+        gen = SyntheticMNIST(seed=0)
+        canvas = gen._place_glyph(3)
+        assert gen._place_glyph(3) is canvas
+        assert not canvas.flags.writeable
 
 
 class TestPatterns:

@@ -76,7 +76,8 @@ def _spawn_worker(
 
 
 def _wait_for_lease(
-    grid_dir: Path, timeout: float = 120.0, held_for: float = 0.0
+    grid_dir: Path, timeout: float = 120.0, held_for: float = 0.0,
+    task: int | None = None,
 ) -> tuple[int, str]:
     """Poll until some worker holds a parseable lease; return (task, owner).
 
@@ -86,10 +87,12 @@ def _wait_for_lease(
     (owner and acquisition time) to survive that many seconds, filtering
     out the millisecond-lived leases of chaos-failed first attempts so
     graceful retirement interrupts a worker genuinely inside its phase.
+    ``task`` narrows the wait to that task's lease.
     """
+    pattern = "lease_*.json" if task is None else f"lease_{task}.json"
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        for path in sorted(grid_dir.glob("lease_*.json")):
+        for path in sorted(grid_dir.glob(pattern)):
             try:
                 payload = json.loads(path.read_text())
             except (OSError, ValueError):
@@ -221,11 +224,15 @@ class TestSigtermRetirement:
     # three never reach a first-attempt checkpoint write, so the corrupt
     # rate of 1.0 truncates exactly one write — task 2's — and the
     # read-back sha256 must turn it into the fourth retry.  Every injected
-    # fault is transient by construction: zero quarantines allowed.
+    # fault is transient by construction: zero quarantines allowed.  Task
+    # 0's phase is held open until it is handed off, so the victim (the
+    # worker holding it) is always mid-phase however fast the cells run.
+    HOLD_TASK = 0
     CHAOS = {
         "REPRO_CHAOS_FAIL_RATE": "0.3",
         "REPRO_CHAOS_CORRUPT_RATE": "1.0",
         "REPRO_CHAOS_SEED": "9",
+        "REPRO_CHAOS_HOLD_TASK": f"{HOLD_TASK}:30",
     }
 
     def test_retiring_worker_hands_off_and_chaos_is_absorbed(self, tmp_path):
@@ -242,7 +249,9 @@ class TestSigtermRetirement:
             # Interrupt a worker that is genuinely inside a phase (a lease
             # held >= 0.35s outlives any chaos-failed claim), so the drain
             # handler fires mid-task and must hand the lease off.
-            _, victim_id = _wait_for_lease(grid_dir, held_for=0.35)
+            _, victim_id = _wait_for_lease(
+                grid_dir, held_for=0.35, task=self.HOLD_TASK
+            )
             victim = workers.pop(victim_id, None)
             assert victim is not None, f"lease owner {victim_id!r} is not ours"
             victim.send_signal(signal.SIGTERM)
@@ -270,6 +279,7 @@ class TestSigtermRetirement:
         # handed-off tasks were finished by the survivors.
         handoffs = handoff_records(grid_dir)
         assert handoffs, "SIGTERM mid-task must write a handoff record"
+        assert self.HOLD_TASK in handoffs
         for index, record in handoffs.items():
             assert record["worker"] == victim_id
             assert record["signal"] == "SIGTERM"

@@ -548,6 +548,36 @@ class TestFusedTraining:
         # One graph-free training backward per mini-batch.
         assert model.fused_backward_count == 3
 
+    def test_training_skips_first_conv_input_gradient(self, monkeypatch):
+        # Training never reads the image gradient, so the first conv's
+        # grad-column GEMM and col2im must not run; attacks still need them.
+        calls: list = []
+        backward_input = F.Conv2dPlan.backward_input
+
+        def counting(plan, *args, **kwargs):
+            calls.append(plan)
+            return backward_input(plan, *args, **kwargs)
+
+        monkeypatch.setattr(F.Conv2dPlan, "backward_input", counting)
+        dataset = self._dataset()
+        states = []
+        for fused in (False, True):
+            # T=6 leaves the first conv structurally alive at t <= 1.
+            model = build_model("snn_lenet_mini", input_size=16, time_steps=6, rng=0)
+            model.use_fused_backward = fused
+            Trainer(model, TrainingConfig(epochs=1, batch_size=8, seed=3)).fit(dataset)
+            states.append(model.state_dict())
+        assert model.fused_backward_count == 3
+        first_plans = list(model.layers[0].transform._plans.values())
+        assert first_plans and not any(plan in first_plans for plan in calls)
+        assert calls, "deeper convs still hand their input gradient on"
+        for name in states[0]:
+            np.testing.assert_array_equal(states[0][name], states[1][name])
+
+        calls.clear()
+        model.fused_input_gradient(dataset.images[:8], dataset.labels[:8])
+        assert any(plan in first_plans for plan in calls)
+
     def test_cnn_trains_through_autograd(self, monkeypatch):
         calls = []
         backward = Tensor.backward

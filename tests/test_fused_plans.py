@@ -30,6 +30,7 @@ from repro.data.dataset import ArrayDataset
 from repro.models import build_model
 from repro.robustness.security import robustness_curve
 from repro.snn.network import _transform_fused_ready
+from repro.tensor import functional as F
 from repro.tensor.functional import Conv2dPlan, _strided_windows
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -247,6 +248,21 @@ class TestConvPlanDataMovement:
         kept = out.copy()
         plan.stacked(2 * x, weights, biases)
         _assert_same_bytes(out, kept)
+
+    @pytest.mark.parametrize(
+        "x_dtype, bias_dtype",
+        [(np.float32, np.float64), (np.float64, np.float32), (np.float32, np.float32)],
+    )
+    def test_bias_epilogue_keeps_conv2d_dtype_and_bytes(self, rng, x_dtype, bias_dtype):
+        # The bias is added after the NCHW transpose (in place when the
+        # dtypes allow); the result must still be conv2d's ``gemm + bias``.
+        x = rng.standard_normal((3, 2, 7, 6)).astype(x_dtype)
+        weight = rng.standard_normal((4, 2, 3, 3)).astype(x_dtype)
+        bias = rng.standard_normal(4).astype(bias_dtype)
+        plan = Conv2dPlan(x.shape, x.dtype, weight.shape, 1, 1)
+        expected = F.conv2d(Tensor(x), Tensor(weight), Tensor(bias), padding=1).data
+        assert expected.dtype == np.result_type(x_dtype, bias_dtype)
+        _assert_same_bytes(plan(x, weight, bias), expected)
 
 
 class TestFusedPlanPath:

@@ -358,6 +358,20 @@ class TestChaosConfig:
         assert not chaos.should_fail(0, 2)
         chaos.maybe_fail(0, 2)  # does not raise
 
+    def test_hold_keeps_one_task_open_until_handed_off(self, monkeypatch):
+        chaos = ChaosConfig.from_env({"REPRO_CHAOS_HOLD_TASK": "2:0.75"})
+        assert (chaos.hold_task, chaos.hold_seconds) == (2, 0.75)
+        sleeps: list[float] = []
+        monkeypatch.setattr("repro.engine.resilience.time.sleep", sleeps.append)
+        chaos.maybe_hold(1, lambda index: False)  # another task
+        chaos.maybe_hold(2, lambda index: True)  # already handed off
+        assert sleeps == []
+        chaos.maybe_hold(2, lambda index: False)
+        assert sleeps == [0.75]
+        for value in ("", "2", "x:1", "2:y", "2:inf", "2:nan"):
+            held = ChaosConfig.from_env({"REPRO_CHAOS_HOLD_TASK": value})
+            assert held.hold_task is None
+
     def test_poisoned_tasks_fail_every_attempt(self):
         chaos = ChaosConfig(poison=frozenset({4}))
         assert chaos.should_fail(4, 1) and chaos.should_fail(4, 7)

@@ -47,6 +47,7 @@ from repro.snn.stack import (
     VariantStack,
     stack_compatibility,
 )
+from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
 from repro.training.trainer import TrainingConfig
 
@@ -248,6 +249,36 @@ class TestVariantStackParity:
             np.testing.assert_array_equal(pairs[lane][1], logits)
             for got, want in zip(member.parameters(), twin.parameters()):
                 np.testing.assert_array_equal(got.grad, want.grad)
+
+    def test_training_skips_first_conv_input_gradient(self, rng, monkeypatch):
+        calls: list = []
+        stacked_backward_input = F.Conv2dPlan.stacked_backward_input
+
+        def counting(plan, *args, **kwargs):
+            calls.append(plan)
+            return stacked_backward_input(plan, *args, **kwargs)
+
+        monkeypatch.setattr(F.Conv2dPlan, "stacked_backward_input", counting)
+        specs = _variant_specs(2)
+        members = [_mini(v, t, seed, alpha) for v, t, seed, alpha in specs]
+        oracles = [_mini(v, t, seed, alpha) for v, t, seed, alpha in specs]
+        stack = VariantStack(members)
+        x = rng.random((4, 1, 8, 8)).astype(np.float32)
+        labels = [rng.integers(0, 4, 4) for _ in range(2)]
+        folded = stack.fold([x] * 2)
+        stack.fused_loss_backward(folded, labels)
+        first_plans = list(members[0].layers[0].transform._plans.values())
+        assert first_plans and not any(plan in first_plans for plan in calls)
+        assert calls, "deeper convs still hand their input gradient on"
+        for lane, oracle in enumerate(oracles):
+            oracle.use_fused_backward = False
+            F.cross_entropy(oracle(Tensor(x)), labels[lane]).backward()
+            for got, want in zip(members[lane].parameters(), oracle.parameters()):
+                np.testing.assert_array_equal(got.grad, want.grad)
+
+        calls.clear()
+        stack.fused_input_gradient(folded, labels)
+        assert any(plan in first_plans for plan in calls)
 
     def test_param_lanes_gate_accumulation(self, rng):
         specs = _variant_specs(2)
